@@ -1,23 +1,20 @@
-//! CPU-kernel scaling before/after ID-interning and the
-//! `BENCH_cpu.json` emitter.
+//! CPU kernels before/after ID-interning and the `BENCH_cpu.json`
+//! emitter.
 //!
-//! Two CPU-bound kernels are measured at 1/2/4/8 worker threads
-//! (`iixml_par::set_threads`), each in two variants:
+//! Two CPU-bound kernels are measured on one thread, each in two
+//! variants:
 //!
 //! * **pre** — the preserved structural paths
 //!   (`refine::intersect_reference`, `IncompleteTree::minimize_reference`):
-//!   hash-probed pair tables, nested-`Vec` signatures, per-pair task
-//!   scheduling, fresh join buffers per emitted combination. These are
-//!   the verbatim PR 3 code paths, so the pre row *is* the PR 3
-//!   baseline re-measured on the current host.
-//! * **post** — the shipping kernels: dense/interned ID tables, chunked
-//!   `par_map_chunks` scheduling with per-worker scratch arenas, and an
-//!   inline width-1 path that skips task-vector construction entirely.
+//!   hash-probed pair tables, nested-`Vec` signatures, fresh join
+//!   buffers per emitted combination. These are the verbatim
+//!   pre-interning code paths, so the pre row *is* the old baseline
+//!   re-measured on the current host.
+//! * **post** — the shipping kernels: dense/interned ID tables and one
+//!   reused scratch arena per call.
 //!
-//! The committed headline is the **sequential speedup row** — pre@1 ÷
-//! post@1 per kernel — because it holds on any host, including the
-//! single-core CI runners where thread scaling physically cannot show.
-//! On multi-core hosts the 4-thread post-speedup gates too.
+//! Both kernels are sequential (DESIGN §8), so the committed headline
+//! is the **sequential speedup row** — pre ÷ post per kernel.
 //!
 //! `cargo run -p iixml-bench --bin report -- --bench-cpu` runs these and
 //! writes the JSON to the repo root; `--quick` shrinks workloads and
@@ -25,39 +22,27 @@
 //! committed trajectory with the same floor-clamped rule as the store
 //! and serve benches.
 
-use crate::parbench::{median_ns, THREADS};
+use crate::parbench::median_ns;
 use crate::refine_blowup_tree;
 use iixml_obs::json::Json;
 
-/// One kernel: pre/post medians (ns) per worker width.
+/// One kernel: pre/post medians (ns) on one thread.
 pub struct KernelResult {
     /// Stable kernel key (also the JSON key).
     pub name: &'static str,
     /// Human description of the workload and its size.
     pub workload: String,
-    /// `(threads, median_ns)` of the preserved pre-interning path.
-    pub pre_by_threads: Vec<(usize, f64)>,
-    /// `(threads, median_ns)` of the shipping interned path.
-    pub post_by_threads: Vec<(usize, f64)>,
+    /// Median ns of the preserved pre-interning path.
+    pub pre_ns: f64,
+    /// Median ns of the shipping interned path.
+    pub post_ns: f64,
 }
 
 impl KernelResult {
-    fn at(rows: &[(usize, f64)], threads: usize) -> f64 {
-        rows.iter()
-            .find(|&&(t, _)| t == threads)
-            .map(|&(_, ns)| ns)
-            .unwrap_or(f64::INFINITY)
-    }
-
-    /// Thread-scaling speedup of the shipping path: post@1 ÷ post@t.
-    pub fn post_speedup(&self, threads: usize) -> f64 {
-        Self::at(&self.post_by_threads, 1) / Self::at(&self.post_by_threads, threads).max(1.0)
-    }
-
-    /// The sequential headline: pre@1 ÷ post@1 — how much faster the
-    /// interned kernel runs on a single thread than the PR 3 code.
+    /// The sequential headline: pre ÷ post — how much faster the
+    /// interned kernel runs than the pre-interning code.
     pub fn seq_speedup(&self) -> f64 {
-        Self::at(&self.pre_by_threads, 1) / Self::at(&self.post_by_threads, 1).max(1.0)
+        self.pre_ns / self.post_ns.max(1.0)
     }
 }
 
@@ -71,8 +56,8 @@ pub struct CpuReport {
     pub kernels: Vec<KernelResult>,
 }
 
-/// Runs both kernels in both variants at every width; `quick` shrinks
-/// the workload and sample counts for CI smoke runs.
+/// Runs both kernels in both variants; `quick` shrinks the workload and
+/// sample counts for CI smoke runs.
 pub fn run(quick: bool) -> CpuReport {
     let threads_available = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -83,60 +68,39 @@ pub fn run(quick: bool) -> CpuReport {
     let base = refine_blowup_tree(chain_n);
     let product = iixml_core::refine::intersect(&base, &base).expect("self-product is compatible");
 
-    let mut intersect = KernelResult {
+    let intersect = KernelResult {
         name: "intersect_product",
         workload: format!(
             "⋊⋉ self-product of the Example 3.2 chain, n = {chain_n} ({} × {} symbols)",
             base.ty().sym_count(),
             base.ty().sym_count()
         ),
-        pre_by_threads: Vec::new(),
-        post_by_threads: Vec::new(),
+        pre_ns: median_ns(samples, || {
+            let p = iixml_core::refine::intersect_reference(&base, &base)
+                .expect("self-product is compatible");
+            assert!(p.ty().sym_count() > 0);
+        }),
+        post_ns: median_ns(samples, || {
+            let p =
+                iixml_core::refine::intersect(&base, &base).expect("self-product is compatible");
+            assert!(p.ty().sym_count() > 0);
+        }),
     };
-    let mut minimize = KernelResult {
+    let minimize = KernelResult {
         name: "minimize_product",
         workload: format!(
             "bisimulation partition of the chain's self-product ({} symbols)",
             product.ty().sym_count()
         ),
-        pre_by_threads: Vec::new(),
-        post_by_threads: Vec::new(),
+        pre_ns: median_ns(samples, || {
+            let m = product.minimize_reference();
+            assert!(m.ty().sym_count() <= product.ty().sym_count());
+        }),
+        post_ns: median_ns(samples, || {
+            let m = product.minimize();
+            assert!(m.ty().sym_count() <= product.ty().sym_count());
+        }),
     };
-
-    for &t in &THREADS {
-        iixml_par::set_threads(Some(t));
-        intersect.pre_by_threads.push((
-            t,
-            median_ns(samples, || {
-                let p = iixml_core::refine::intersect_reference(&base, &base)
-                    .expect("self-product is compatible");
-                assert!(p.ty().sym_count() > 0);
-            }),
-        ));
-        intersect.post_by_threads.push((
-            t,
-            median_ns(samples, || {
-                let p = iixml_core::refine::intersect(&base, &base)
-                    .expect("self-product is compatible");
-                assert!(p.ty().sym_count() > 0);
-            }),
-        ));
-        minimize.pre_by_threads.push((
-            t,
-            median_ns(samples, || {
-                let m = product.minimize_reference();
-                assert!(m.ty().sym_count() <= product.ty().sym_count());
-            }),
-        ));
-        minimize.post_by_threads.push((
-            t,
-            median_ns(samples, || {
-                let m = product.minimize();
-                assert!(m.ty().sym_count() <= product.ty().sym_count());
-            }),
-        ));
-    }
-    iixml_par::set_threads(None);
 
     CpuReport {
         quick,
@@ -164,36 +128,17 @@ impl CpuReport {
             .unwrap_or(0.0)
     }
 
-    /// A kernel's shipping-path speedup at `threads` (the multi-core
-    /// gate reads this).
-    pub fn post_speedup(&self, name: &str, threads: usize) -> f64 {
-        self.kernel(name)
-            .map(|k| k.post_speedup(threads))
-            .unwrap_or(0.0)
-    }
-
     /// The machine-readable form committed as `BENCH_cpu.json`.
     pub fn to_json(&self) -> Json {
         let kernels: Vec<Json> = self
             .kernels
             .iter()
             .map(|k| {
-                let results: Vec<Json> = k
-                    .pre_by_threads
-                    .iter()
-                    .zip(&k.post_by_threads)
-                    .map(|(&(t, pre), &(_, post))| {
-                        Json::obj()
-                            .set("threads", t)
-                            .set("pre_median_ns", pre)
-                            .set("post_median_ns", post)
-                            .set("post_speedup_vs_1", k.post_speedup(t))
-                    })
-                    .collect();
                 Json::obj()
                     .set("name", k.name)
                     .set("workload", k.workload.clone())
-                    .set("results", results)
+                    .set("pre_median_ns", k.pre_ns)
+                    .set("post_median_ns", k.post_ns)
                     .set("seq_speedup", k.seq_speedup())
             })
             .collect();
@@ -209,22 +154,16 @@ impl CpuReport {
     /// Prints the human-readable table.
     pub fn print_table(&self) {
         println!(
-            "cpu kernels ({} samples median; host has {} hardware thread(s))",
+            "cpu kernels, one thread ({} samples median; host has {} hardware thread(s))",
             if self.quick { "quick" } else { "full" },
             self.threads_available
         );
         for k in &self.kernels {
             println!("\n{} — {}", k.name, k.workload);
-            for (&(t, pre), &(_, post)) in k.pre_by_threads.iter().zip(&k.post_by_threads) {
-                println!(
-                    "  t={t}  pre {:>10}  post {:>10}  post speedup {:.2}x",
-                    crate::harness::fmt_ns(pre),
-                    crate::harness::fmt_ns(post),
-                    k.post_speedup(t)
-                );
-            }
             println!(
-                "  sequential speedup (pre@1 / post@1): {:.2}x",
+                "  pre {:>10}  post {:>10}  sequential speedup (pre / post) {:.2}x",
+                crate::harness::fmt_ns(k.pre_ns),
+                crate::harness::fmt_ns(k.post_ns),
                 k.seq_speedup()
             );
         }
@@ -258,12 +197,11 @@ mod tests {
     }
 
     #[test]
-    fn quick_report_has_both_kernels_and_all_widths() {
+    fn quick_report_has_both_kernels() {
         let r = run(true);
         assert_eq!(r.kernels.len(), 2);
         for k in &r.kernels {
-            assert_eq!(k.pre_by_threads.len(), THREADS.len());
-            assert_eq!(k.post_by_threads.len(), THREADS.len());
+            assert!(k.pre_ns > 0.0 && k.post_ns > 0.0);
             assert!(k.seq_speedup() > 0.0);
         }
         let text = r.to_json().render_pretty();

@@ -1,18 +1,17 @@
 //! Thread-scaling workloads and the `BENCH_pr3.json` emitter.
 //!
-//! Three parallelized hot paths are measured at 1/2/4/8 worker threads
+//! The wait-bound parallel path is measured at 1/2/4/8 worker threads
 //! (`iixml_par::set_threads`), plus the signature-interning micro-bench:
 //!
-//! * `intersect_e5` — the full Example 3.2 Refine chain, dominated by
-//!   the ⋊⋉ product of `refine::intersect` (CPU-bound);
-//! * `minimize_product` — bisimulation partition refinement on the
-//!   self-product of the blown-up chain (CPU-bound);
 //! * `webhouse_fanout16` — one query fanned out over 16
-//!   latency-simulating sources (wait-bound: this is the workload whose
-//!   speedup survives a single-core host, because sleeping sources
-//!   overlap regardless of CPU count);
+//!   latency-simulating sources (wait-bound: sleeping sources overlap
+//!   regardless of CPU count, so the speedup survives a single-core
+//!   host);
 //! * `sig_interning` — the old `format!`-keyed initial partition vs the
 //!   interned `(SymTarget, IntervalSet)` keying that replaced it.
+//!
+//! The CPU-bound Refine kernels are sequential (DESIGN §8); their
+//! single-thread numbers live in `cpubench`.
 //!
 //! Both `cargo bench --bench par` and
 //! `cargo run -p iixml-bench --bin report -- --bench-pr3` run these
@@ -63,7 +62,7 @@ pub struct ParReport {
     /// `std::thread::available_parallelism` on the measuring host —
     /// readers of the JSON need this to interpret CPU-bound curves.
     pub threads_available: usize,
-    /// The three scaling groups.
+    /// The scaling groups.
     pub groups: Vec<GroupResult>,
     /// Old string-keyed initial partition, median ns.
     pub sig_string_ns: f64,
@@ -192,34 +191,7 @@ pub fn run(quick: bool) -> ParReport {
     let latency = Duration::from_millis(if quick { 2 } else { 4 });
     let fan_sources = 16;
 
-    let mut groups = Vec::new();
-
-    groups.push(scaling_group(
-        "intersect_e5",
-        format!("Example 3.2 Refine chain, n = {chain_n} (⋊⋉ product per step)"),
-        samples,
-        || {
-            let t = refine_blowup_tree(chain_n);
-            assert!(t.size() > 0);
-        },
-    ));
-
-    let base = refine_blowup_tree(chain_n);
-    let product = iixml_core::refine::intersect(&base, &base).expect("self-product is compatible");
-    groups.push(scaling_group(
-        "minimize_product",
-        format!(
-            "bisimulation partition of the chain's self-product ({} symbols)",
-            product.ty().sym_count()
-        ),
-        samples,
-        || {
-            let m = product.minimize();
-            assert!(m.ty().sym_count() <= product.ty().sym_count());
-        },
-    ));
-
-    groups.push(scaling_group(
+    let groups = vec![scaling_group(
         "webhouse_fanout16",
         format!(
             "one query fanned out over {fan_sources} sources with {:?} simulated latency each",
@@ -227,10 +199,13 @@ pub fn run(quick: bool) -> ParReport {
         ),
         samples,
         || fanout_once(fan_sources, latency),
-    ));
+    )];
 
     // Micro-bench: string vs interned initial-partition keys on the
-    // product's (many-symbol) type. Sequential by construction.
+    // Example 3.2 chain's self-product (many symbols). Sequential by
+    // construction.
+    let base = refine_blowup_tree(chain_n);
+    let product = iixml_core::refine::intersect(&base, &base).expect("self-product is compatible");
     let micro_samples = samples * 3;
     let sig_string_ns = median_ns(micro_samples, || {
         assert!(partition_init_string_keys(&product) > 0);

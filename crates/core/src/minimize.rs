@@ -37,18 +37,6 @@ static OBS_MERGED: LazyCounter = LazyCounter::new(keys::CORE_MINIMIZE_SYMBOLS_ME
 /// Distinct partition signatures interned across all refinement rounds.
 static OBS_INTERNED: LazyCounter = LazyCounter::new(keys::CORE_MINIMIZE_INTERNED_SIGS);
 
-/// Minimum symbols per worker before a partition-refinement round
-/// spreads signature computation over threads (reference path only).
-const SIG_GRAIN: usize = 64;
-
-/// Distinct atoms per chunk when a refinement round canonicalizes atoms
-/// in parallel (`IIXML_PAR_CHUNK` overrides).
-const SIG_CHUNK: usize = 128;
-
-/// Atom-table size at or below which a refinement round stays inline
-/// (`IIXML_PAR_CUTOFF` overrides).
-const SIG_CUTOFF: usize = 512;
-
 fn bounds(m: Mult) -> (u8, bool) {
     // (lower bound, unbounded?)
     match m {
@@ -142,13 +130,12 @@ impl IncompleteTree {
     /// Coarsest partition compatible with (target, cond, frozen-ness)
     /// refined by µ signatures, computed over the interned kernel
     /// representation: each round canonicalizes every *distinct* atom
-    /// once (entries mapped to current blocks, sorted — parallel in
-    /// chunks with per-worker scratch), then interns per-symbol
-    /// signatures as flat `u32` slices. Interning stays sequential in
-    /// symbol order and canon ids are assigned in atom-id order, so
-    /// block numbering is first-encounter order — byte-identical to the
-    /// structural reference path at any worker width (pinned by
-    /// `tests/intern_equiv.rs`).
+    /// once (entries mapped to current blocks, sorted, in one reused
+    /// buffer), then interns per-symbol signatures as flat `u32`
+    /// slices. Canon ids are assigned in atom-id order and signatures
+    /// are interned in symbol order, so block numbering is
+    /// first-encounter order — byte-identical to the structural
+    /// reference path (pinned by `tests/intern_equiv.rs`).
     fn partition(&self, interned: &InternedType, frozen: &HashSet<Sym>) -> Vec<usize> {
         let ty = self.ty();
         let n = ty.sym_count();
@@ -185,38 +172,27 @@ impl IncompleteTree {
         // Refine until stable. A round is two stages:
         //
         // 1. Canonicalize every distinct atom under the current
-        //    partition: entries mapped to `(block, mult)`, sorted. A
-        //    canonical form is a pure function of the atom and the
-        //    previous round's blocks, so this stage fans out in chunks
-        //    with a reusable per-worker scratch vector; results merge
-        //    in atom-id order. Equal forms then intern to equal
-        //    `canon` ids (assigned in atom-id order — deterministic).
+        //    partition: entries mapped to `(block, mult)`, sorted, in
+        //    one reused buffer. Equal forms intern to equal `canon` ids
+        //    (assigned in atom-id order — deterministic).
         // 2. Per symbol, the signature is its current block plus the
         //    sorted-deduped canon ids of its µ's atoms — a flat `u32`
         //    slice. Interning it yields the next-round block directly,
         //    since `SliceInterner` numbers fresh slices in
         //    first-encounter order, exactly like the HashMap-with-
         //    running-counter it replaces.
-        let atom_ids: Vec<u32> = (0..interned.table.atom_count() as u32).collect();
+        let atom_count = interned.table.atom_count() as u32;
+        let mut form: Vec<(u32, Mult)> = Vec::new();
         loop {
-            let forms: Vec<Vec<(u32, Mult)>> = iixml_par::par_map_chunks(
-                &atom_ids,
-                SIG_CHUNK,
-                SIG_CUTOFF,
-                Vec::new,
-                |scratch: &mut Vec<(u32, Mult)>, &a, _| {
-                    scratch.clear();
-                    for &(c, m) in interned.table.atom(AtomId(a)) {
-                        scratch.push((block_of[c.ix()] as u32, m));
-                    }
-                    scratch.sort_unstable();
-                    scratch.clone()
-                },
-            );
-            let mut canon_of: Vec<u32> = Vec::with_capacity(forms.len());
+            let mut canon_of: Vec<u32> = Vec::with_capacity(atom_count as usize);
             let mut canon: SliceInterner<(u32, Mult)> = SliceInterner::new();
-            for form in &forms {
-                canon_of.push(canon.intern(form));
+            for a in 0..atom_count {
+                form.clear();
+                for &(c, m) in interned.table.atom(AtomId(a)) {
+                    form.push((block_of[c.ix()] as u32, m));
+                }
+                form.sort_unstable();
+                canon_of.push(canon.intern(&form));
             }
             let mut sig: SliceInterner<u32> = SliceInterner::new();
             let mut next_block: Vec<usize> = vec![0; n];
@@ -375,25 +351,28 @@ impl IncompleteTree {
         type Signature = (usize, Vec<Vec<(usize, Mult)>>);
         let syms: Vec<Sym> = ty.syms().collect();
         loop {
-            let sigs: Vec<Signature> = iixml_par::par_map_ref(&syms, SIG_GRAIN, |&s| {
-                let mut atoms: Vec<Vec<(usize, Mult)>> = ty
-                    .mu(s)
-                    .atoms()
-                    .iter()
-                    .map(|a| {
-                        let mut v: Vec<(usize, Mult)> = a
-                            .entries()
-                            .iter()
-                            .map(|&(c, m)| (block_of[c.ix()], m))
-                            .collect();
-                        v.sort();
-                        v
-                    })
-                    .collect();
-                atoms.sort();
-                atoms.dedup();
-                (block_of[s.ix()], atoms)
-            });
+            let sigs: Vec<Signature> = syms
+                .iter()
+                .map(|&s| {
+                    let mut atoms: Vec<Vec<(usize, Mult)>> = ty
+                        .mu(s)
+                        .atoms()
+                        .iter()
+                        .map(|a| {
+                            let mut v: Vec<(usize, Mult)> = a
+                                .entries()
+                                .iter()
+                                .map(|&(c, m)| (block_of[c.ix()], m))
+                                .collect();
+                            v.sort();
+                            v
+                        })
+                        .collect();
+                    atoms.sort();
+                    atoms.dedup();
+                    (block_of[s.ix()], atoms)
+                })
+                .collect();
             let mut sig_to_block: HashMap<Signature, usize> = HashMap::with_capacity(n);
             let mut next_block: Vec<usize> = vec![0; n];
             for (s, key) in syms.iter().zip(sigs) {

@@ -32,18 +32,6 @@ use iixml_values::IntervalSet;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// Minimum symbol pairs per worker before `intersect_reference` spreads
-/// the ⋊⋉ product over threads (below this, spawn overhead dominates).
-const INTERSECT_GRAIN: usize = 16;
-
-/// Symbol pairs per chunk when `intersect` fans the ⋊⋉ product out
-/// (`IIXML_PAR_CHUNK` overrides).
-const INTERSECT_CHUNK: usize = 16;
-
-/// Pair count at or below which `intersect` computes µ's inline on the
-/// calling thread (`IIXML_PAR_CUTOFF` overrides).
-const INTERSECT_CUTOFF: usize = 64;
-
 /// Maximum `n1 * n2` for the dense pair table; larger products fall
 /// back to the hash table (4M entries = 16 MiB of `u32`).
 const DENSE_PAIR_LIMIT: usize = 1 << 22;
@@ -311,9 +299,9 @@ impl PairTable {
     }
 }
 
-/// Per-worker scratch arena for the ⋊⋉ join: every buffer the join
-/// needs per atom pair (and per emitted combination), allocated once
-/// per worker and reused across the whole chunk. The buffers carry no
+/// Scratch arena for the ⋊⋉ join: every buffer the join needs per atom
+/// pair (and per emitted combination), allocated once per `intersect`
+/// call and reused across all product symbols. The buffers carry no
 /// state between items — each use starts with `clear()` — so reuse
 /// cannot affect results, only allocator traffic.
 #[derive(Default)]
@@ -410,31 +398,13 @@ pub fn intersect(t1: &IncompleteTree, t2: &IncompleteTree) -> Result<IncompleteT
         }
     }
 
-    // µ of each pair: union over disjunct pairs of the joined atoms.
-    // Each pair's µ depends only on the (frozen) input types and the
-    // complete pair table, so the ⋊⋉ expansion — the hot inner loop of
-    // Algorithm Refine — parallelizes per chunk of pairs,
-    // order-preserving by construction.
-    if iixml_par::threads() == 1 || keys.len() <= iixml_par::cutoff(INTERSECT_CUTOFF) {
-        // Width-1 / small products: compute and assign each µ directly.
-        // No task vector, no intermediate µ buffer — that bookkeeping
-        // was pure overhead in BENCH_pr3's 1-thread column.
-        let mut scratch = JoinScratch::default();
-        for &(s1, s2, p) in &keys {
-            let mu = pair_mu(ty1, ty2, s1, s2, &pair_of, &mut scratch);
-            ty.set_mu(p, mu);
-        }
-    } else {
-        let mus: Vec<Disjunction> = iixml_par::par_map_chunks(
-            &keys,
-            INTERSECT_CHUNK,
-            0,
-            JoinScratch::default,
-            |scratch, &(s1, s2, _), _| pair_mu(ty1, ty2, s1, s2, &pair_of, scratch),
-        );
-        for (&(_, _, p), mu) in keys.iter().zip(mus) {
-            ty.set_mu(p, mu);
-        }
+    // µ of each pair: union over disjunct pairs of the joined atoms,
+    // computed and assigned directly in key order (the hot inner loop
+    // of Algorithm Refine) with one reused scratch arena.
+    let mut scratch = JoinScratch::default();
+    for &(s1, s2, p) in &keys {
+        let mu = pair_mu(ty1, ty2, s1, s2, &pair_of, &mut scratch);
+        ty.set_mu(p, mu);
     }
 
     IncompleteTree::new(nodes, ty)
@@ -534,17 +504,20 @@ pub fn intersect_reference(
         }
     }
 
-    let mus: Vec<Disjunction> = iixml_par::par_map_ref(&keys, INTERSECT_GRAIN, |&(s1, s2)| {
-        let mut atoms: Vec<SAtom> = Vec::new();
-        for a1 in ty1.mu(s1).atoms() {
-            for a2 in ty2.mu(s2).atoms() {
-                join_atoms_reference(a1, a2, &pair_of, &mut atoms);
+    let mus: Vec<Disjunction> = keys
+        .iter()
+        .map(|&(s1, s2)| {
+            let mut atoms: Vec<SAtom> = Vec::new();
+            for a1 in ty1.mu(s1).atoms() {
+                for a2 in ty2.mu(s2).atoms() {
+                    join_atoms_reference(a1, a2, &pair_of, &mut atoms);
+                }
             }
-        }
-        atoms.sort_by(|x, y| x.entries().iter().cmp(y.entries().iter()));
-        atoms.dedup();
-        Disjunction(atoms)
-    });
+            atoms.sort_by(|x, y| x.entries().iter().cmp(y.entries().iter()));
+            atoms.dedup();
+            Disjunction(atoms)
+        })
+        .collect();
     for (&(s1, s2), mu) in keys.iter().zip(mus) {
         ty.set_mu(pair_of[&(s1, s2)], mu);
     }
@@ -644,9 +617,9 @@ fn join_recurse<P: PairIj>(
 /// unambiguous trees every choice set is a singleton and the expansion
 /// degenerates to the paper's single joined atom.
 ///
-/// All working buffers live in `scratch` so a worker joining thousands
-/// of atom pairs allocates each of them once; every use starts from
-/// `clear()`, so reuse is invisible in the output.
+/// All working buffers live in `scratch` so one `intersect` joining
+/// thousands of atom pairs allocates each of them once; every use
+/// starts from `clear()`, so reuse is invisible in the output.
 fn join_atoms(
     a1: &SAtom,
     a2: &SAtom,

@@ -21,14 +21,6 @@ use iixml_obs::{keys, LazyCounter, LazyHistogram};
 use iixml_tree::{Label, Mult, TreeType};
 use std::collections::BTreeMap;
 
-/// Symbols per chunk when the per-symbol restriction fans out
-/// (`IIXML_PAR_CHUNK` overrides).
-const RESTRICT_CHUNK: usize = 32;
-
-/// Symbol count at or below which the restriction runs inline on the
-/// calling thread (`IIXML_PAR_CUTOFF` overrides).
-const RESTRICT_CUTOFF: usize = 128;
-
 /// Wall time of each [`restrict_to_type`] call.
 static OBS_RESTRICT_NS: LazyHistogram = LazyHistogram::new(keys::CORE_TYPE_INTERSECT_RESTRICT_NS);
 /// Alternatives produced per atom restriction (cartesian blowup gauge).
@@ -61,32 +53,23 @@ pub fn restrict_to_type(it: &IncompleteTree, ty: &TreeType) -> IncompleteTree {
             out.add_root(r);
         }
     }
-    // Each symbol's restricted µ depends only on the frozen inputs, so
-    // the per-symbol restriction fans out in chunks; the atom buffer is
-    // per-worker scratch, cleared per symbol, so one worker restricting
-    // a whole chunk allocates it once.
-    let syms: Vec<Sym> = src.syms().collect();
-    let mus: Vec<Disjunction> = iixml_par::par_map_chunks(
-        &syms,
-        RESTRICT_CHUNK,
-        RESTRICT_CUTOFF,
-        Vec::new,
-        |atoms: &mut Vec<SAtom>, &s, _| {
-            let Some(label) = underlying(it, s) else {
-                return Disjunction(vec![]);
-            };
-            let rho = ty.atom(label);
-            atoms.clear();
-            for atom in src.mu(s).atoms() {
-                restrict_atom(it, atom, &rho, atoms);
-            }
-            atoms.sort_by(|x, y| x.entries().iter().cmp(y.entries().iter()));
-            atoms.dedup();
-            Disjunction(atoms.clone())
-        },
-    );
-    for (&s, mu) in syms.iter().zip(mus) {
-        out.set_mu(s, mu);
+    // Each symbol's restricted µ depends only on the frozen inputs; the
+    // atom buffer is scratch, cleared per symbol, so the whole pass
+    // allocates it once.
+    let mut atoms: Vec<SAtom> = Vec::new();
+    for s in src.syms() {
+        let Some(label) = underlying(it, s) else {
+            out.set_mu(s, Disjunction(vec![]));
+            continue;
+        };
+        let rho = ty.atom(label);
+        atoms.clear();
+        for atom in src.mu(s).atoms() {
+            restrict_atom(it, atom, &rho, &mut atoms);
+        }
+        atoms.sort_by(|x, y| x.entries().iter().cmp(y.entries().iter()));
+        atoms.dedup();
+        out.set_mu(s, Disjunction(atoms.clone()));
     }
     // Infallible: `out` targets the same node set as `it`, whose own
     // well-formedness was checked when `it` was constructed.

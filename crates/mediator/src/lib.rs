@@ -109,19 +109,23 @@ impl Completion {
 
         let _span = OBS_EXECUTE_NS.time();
         OBS_LOCAL_QUERIES.add(self.queries.len() as u64);
-        // Evaluations are independent reads of the source (the queries
-        // of a completion are non-redundant, each asking for a distinct
-        // missing piece), so they fan out one task per query. Grafting
-        // stays sequential in generation order: grafts are root-to-leaf
-        // dependent, and sequential application keeps the result (and
-        // the first error surfaced) identical at any thread count.
-        let answers = iixml_par::par_map_ref(&self.queries, 1, |lq| match lq.at {
-            None => Ok(lq.query.eval(source)),
-            Some(n) => lq
-                .query
-                .eval_at(source, n)
-                .ok_or(CompletionError::MissingAnchor(n)),
-        });
+        // Evaluations are independent reads of the in-memory source (the
+        // queries of a completion are non-redundant, each asking for a
+        // distinct missing piece); nothing waits, so they run in order.
+        // Grafting follows in generation order: grafts are root-to-leaf
+        // dependent, and sequential application fixes the result and the
+        // first error surfaced.
+        let answers: Vec<Result<_, CompletionError>> = self
+            .queries
+            .iter()
+            .map(|lq| match lq.at {
+                None => Ok(lq.query.eval(source)),
+                Some(n) => lq
+                    .query
+                    .eval_at(source, n)
+                    .ok_or(CompletionError::MissingAnchor(n)),
+            })
+            .collect();
         let mut shipped = 0;
         let mut scratch = known.clone();
         for answer in answers {

@@ -125,8 +125,6 @@ pub const PAR_TASKS: &str = "par.tasks";
 pub const PAR_STEALS: &str = "par.steals";
 /// Worker width per `par_map` invocation.
 pub const PAR_THREADS: &str = "par.threads";
-/// Chunks dispatched through `par_map_chunks` (parallel path only).
-pub const PAR_CHUNKS: &str = "par.chunks";
 
 // ---------------------------------------------------------------------
 // store — the durable session journal (DESIGN.md §9).
@@ -203,7 +201,6 @@ pub const COUNTERS: &[&str] = &[
     WEBHOUSE_QUARANTINES,
     PAR_TASKS,
     PAR_STEALS,
-    PAR_CHUNKS,
     STORE_APPENDS,
     STORE_FSYNCS,
     STORE_CRC_REJECTS,
@@ -267,10 +264,6 @@ pub fn is_registered(name: &str) -> bool {
 pub const ENV_OBS: &str = "IIXML_OBS";
 /// Worker width for `iixml-par` (`1` = sequential).
 pub const ENV_PAR_THREADS: &str = "IIXML_PAR_THREADS";
-/// Items per chunk for `par_map_chunks` (overrides caller defaults).
-pub const ENV_PAR_CHUNK: &str = "IIXML_PAR_CHUNK";
-/// Input size at or below which `par_map_chunks` runs sequentially.
-pub const ENV_PAR_CUTOFF: &str = "IIXML_PAR_CUTOFF";
 /// Base seed for deterministic property/chaos tests.
 pub const ENV_TEST_SEED: &str = "IIXML_TEST_SEED";
 /// Cases per property in the in-tree property-test harness.
@@ -286,8 +279,6 @@ pub const ENV_STORE_LINGER: &str = "IIXML_STORE_LINGER";
 pub const ENV_SERVE_PORT: &str = "IIXML_SERVE_PORT";
 /// Session-map shard count for `iixml serve`.
 pub const ENV_SERVE_SHARDS: &str = "IIXML_SERVE_SHARDS";
-/// Acceptor/worker thread count for `iixml serve`.
-pub const ENV_SERVE_WORKERS: &str = "IIXML_SERVE_WORKERS";
 /// Per-tenant open-session cap.
 pub const ENV_SERVE_MAX_SESSIONS: &str = "IIXML_SERVE_MAX_SESSIONS";
 /// Per-tenant in-flight request cap.
@@ -315,11 +306,6 @@ pub const ENV_CONTAIN_CACHE: &str = "IIXML_CONTAIN_CACHE";
 pub const ENV_VARS: &[(&str, &str)] = &[
     (ENV_OBS, "enable metric collection"),
     (ENV_PAR_THREADS, "worker width for parallel maps"),
-    (ENV_PAR_CHUNK, "items per chunk for chunked parallel maps"),
-    (
-        ENV_PAR_CUTOFF,
-        "input size at or below which chunked maps run inline",
-    ),
     (ENV_TEST_SEED, "base seed for deterministic tests"),
     (ENV_PROPTEST_CASES, "cases per property test"),
     (
@@ -336,7 +322,6 @@ pub const ENV_VARS: &[(&str, &str)] = &[
     ),
     (ENV_SERVE_PORT, "TCP port for iixml serve (0 = ephemeral)"),
     (ENV_SERVE_SHARDS, "session-map shard count"),
-    (ENV_SERVE_WORKERS, "server worker thread count"),
     (ENV_SERVE_MAX_SESSIONS, "per-tenant open-session cap"),
     (ENV_SERVE_MAX_INFLIGHT, "per-tenant in-flight request cap"),
     (ENV_SERVE_QUOTA, "per-tenant token-bucket burst"),

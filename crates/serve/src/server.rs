@@ -1,7 +1,7 @@
 //! The multi-tenant session server.
 //!
-//! Architecture (DESIGN.md §12): acceptor loops run on the `iixml-par`
-//! pool; each accepted connection is handed to a dedicated bounded
+//! Architecture (DESIGN.md §12): one acceptor loop runs on the runner
+//! thread; each accepted connection is handed to a dedicated bounded
 //! thread so one slow client never stalls another. Sessions live in a
 //! sharded map — `shard = fnv("tenant/session") % shards` — each shard
 //! an independent [`Webhouse`] behind its own mutex, so tenants on
@@ -25,7 +25,6 @@
 //! tenant or the fleet.
 
 use std::collections::BTreeMap;
-use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -67,8 +66,6 @@ pub struct ServeConfig {
     pub port: u16,
     /// Session-map shard count.
     pub shards: usize,
-    /// Acceptor tasks submitted to the `iixml-par` pool.
-    pub workers: usize,
     /// Per-tenant admission limits.
     pub admission: AdmissionConfig,
     /// Per-connection read deadline (ms).
@@ -89,7 +86,6 @@ impl Default for ServeConfig {
         ServeConfig {
             port: 0,
             shards: 8,
-            workers: 4,
             admission: AdmissionConfig {
                 max_sessions: 64,
                 max_inflight: 8,
@@ -121,7 +117,6 @@ impl ServeConfig {
         ServeConfig {
             port: env_parse(keys::ENV_SERVE_PORT, d.port),
             shards: env_parse(keys::ENV_SERVE_SHARDS, d.shards).max(1),
-            workers: env_parse(keys::ENV_SERVE_WORKERS, d.workers).max(1),
             admission: AdmissionConfig {
                 max_sessions: env_parse(keys::ENV_SERVE_MAX_SESSIONS, d.admission.max_sessions)
                     .max(1),
@@ -297,15 +292,9 @@ impl Server {
             let inner = Arc::clone(&inner);
             thread::Builder::new()
                 .name("iixml-serve-runner".into())
-                .spawn(move || {
-                    let acceptors: Vec<Arc<Inner>> =
-                        (0..inner.cfg.workers).map(|_| Arc::clone(&inner)).collect();
-                    // Acceptor fan-out on the shared pool: at width 1
-                    // a single acceptor drains the listener; at higher
-                    // widths acceptors race on `accept` (it is
-                    // thread-safe on a shared listener).
-                    let _ = iixml_par::par_map(acceptors, 1, |inner| accept_loop(&inner));
-                })
+                // One acceptor suffices: every accepted connection is
+                // served on its own thread (`dispatch_conn`).
+                .spawn(move || accept_loop(&inner))
                 .map_err(|e| ServeError::Io(e.to_string()))?
         };
         let ticker = {
@@ -416,7 +405,8 @@ impl Server {
 }
 
 /// Scans the journal root and recovers every session found, shard by
-/// shard, on the `iixml-par` pool.
+/// shard, each shard's sessions concurrently via
+/// [`Webhouse::recover_sessions`].
 fn recover_fleet(inner: &Arc<Inner>) -> Result<(), ServeError> {
     let Some(root) = inner.cfg.journal_root.clone() else {
         return Ok(());
@@ -521,22 +511,16 @@ fn sorted_dir(dir: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(out)
 }
 
-fn accept_loop(inner: &Arc<Inner>) -> u64 {
-    let mut accepted = 0u64;
-    loop {
-        if inner.shutdown.load(Ordering::Acquire) {
-            return accepted;
-        }
+fn accept_loop(inner: &Arc<Inner>) {
+    while !inner.shutdown.load(Ordering::Acquire) {
         match inner.listener.accept() {
             Ok((stream, _addr)) => {
-                accepted += 1;
                 inner.counters.accepted.fetch_add(1, Ordering::Relaxed);
                 OBS_ACCEPTED.incr();
                 dispatch_conn(inner, stream);
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
+            // Nonblocking listener: `WouldBlock` (or a transient error)
+            // means poll again shortly.
             Err(_) => thread::sleep(Duration::from_millis(2)),
         }
     }

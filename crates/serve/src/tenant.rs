@@ -7,7 +7,7 @@
 //! with a retry hint, so backpressure is visible to the client instead
 //! of manifesting as unbounded latency. One tenant flooding its quota
 //! therefore cannot starve another: the flood is refused at the door,
-//! and the per-tenant in-flight cap bounds how many pool workers a
+//! and the per-tenant in-flight cap bounds how many connection threads a
 //! single tenant can occupy.
 //!
 //! The token bucket is refilled by the server's ticker thread at a

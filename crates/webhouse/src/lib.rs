@@ -954,7 +954,7 @@ impl<E: SourceEndpoint> Webhouse<E> {
     {
         let mut journals = journals;
         journals.sort_by(|a, b| a.0.cmp(&b.0));
-        let recovered = iixml_par::par_map(journals, 1, |(name, dir, source)| {
+        let recovered = iixml_par::par_map(journals, |(name, dir, source)| {
             (name, Session::recover(&dir, source))
         });
         let mut reports = Vec::with_capacity(recovered.len());
@@ -1008,7 +1008,7 @@ impl<E: SourceEndpoint> Webhouse<E> {
     {
         let mut items: Vec<(&String, &mut Session<E>)> = self.sessions.iter_mut().collect();
         items.sort_by(|a, b| a.0.cmp(b.0));
-        iixml_par::par_map(items, 1, |(name, session)| {
+        iixml_par::par_map(items, |(name, session)| {
             (name.clone(), session.answer_resilient(q))
         })
     }

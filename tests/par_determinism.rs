@@ -1,10 +1,14 @@
-//! The determinism matrix for the parallel execution layer: every
-//! parallelized path must produce *byte-identical* results at any
-//! worker width. `iixml_par::par_map` places results by input index, so
-//! this holds by construction — these tests pin the contract end-to-end
-//! through the real hot paths (Algorithm Refine's intersect, bisimulation
-//! minimization, mediated completion, and the webhouse fan-out), at
-//! widths 1 (the sequential fallback through the same code path) and 4.
+//! The determinism matrix for the parallel execution layer: results
+//! must be *byte-identical* at any worker width. The parallel paths are
+//! the two wait-bound `iixml_par::par_map` callers — the webhouse
+//! fan-out (`Webhouse::fan_out`) and fleet recovery
+//! (`Webhouse::recover_sessions`, pinned by `store_recovery.rs` and
+//! `serve_chaos.rs`). `par_map` places results by input index, so this
+//! holds by construction. Algorithm Refine's intersect, bisimulation
+//! minimization and mediated completion are sequential; they stay in
+//! the matrix as a guard that the width never changes their output.
+//! Every check runs at widths 1 (the sequential fallback through the
+//! same code path) and 4.
 //!
 //! CI additionally runs the whole suite under `IIXML_PAR_THREADS=1` and
 //! `=4` (the thread-matrix job), so any width-dependent behavior that
