@@ -1,5 +1,4 @@
-//! CPU kernels before/after ID-interning and the `BENCH_cpu.json`
-//! emitter.
+//! The `cpu` bench area: CPU kernels before/after ID-interning.
 //!
 //! Two CPU-bound kernels are measured on one thread, each in two
 //! variants:
@@ -13,55 +12,86 @@
 //! * **post** — the shipping kernels: dense/interned ID tables and one
 //!   reused scratch arena per call.
 //!
-//! Both kernels are sequential (DESIGN §8), so the committed headline
-//! is the **sequential speedup row** — pre ÷ post per kernel.
+//! Both kernels are sequential (DESIGN §8), so the gated rows are the
+//! **sequential speedups** — pre ÷ post per kernel, `>= 1.3` each. An
+//! informational micro-bench rides along: `sig_interning`, the old
+//! `format!`-keyed initial partition vs the interned
+//! `(SymTarget, IntervalSet)` keying that replaced it.
 //!
-//! `cargo run -p iixml-bench --bin report -- --bench-cpu` runs these and
-//! writes the JSON to the repo root; `--quick` shrinks workloads and
-//! sample counts for CI smoke runs; `--diff-cpu OLD NEW` gates the
-//! committed trajectory with the same floor-clamped rule as the store
-//! and serve benches.
+//! `cargo run -p iixml-bench --bin report -- --bench cpu` runs these and
+//! writes `BENCH_cpu.json`; `--quick` shrinks workloads and sample
+//! counts for CI smoke runs.
 
-use crate::parbench::median_ns;
+use crate::harness::median_ns;
 use crate::refine_blowup_tree;
-use iixml_obs::json::Json;
+use crate::row::Row;
+use iixml_core::{IncompleteTree, SymTarget};
+use iixml_values::IntervalSet;
+use std::collections::HashMap;
+
+/// The gated metrics of this area.
+pub const GATES: &[&str] = &["intersect_seq_speedup", "minimize_seq_speedup"];
 
 /// One kernel: pre/post medians (ns) on one thread.
 pub struct KernelResult {
-    /// Stable kernel key (also the JSON key).
+    /// Stable kernel key (the row-name prefix).
     pub name: &'static str,
-    /// Human description of the workload and its size.
-    pub workload: String,
     /// Median ns of the preserved pre-interning path.
     pub pre_ns: f64,
     /// Median ns of the shipping interned path.
     pub post_ns: f64,
 }
 
-impl KernelResult {
-    /// The sequential headline: pre ÷ post — how much faster the
-    /// interned kernel runs than the pre-interning code.
-    pub fn seq_speedup(&self) -> f64 {
-        self.pre_ns / self.post_ns.max(1.0)
-    }
-}
-
 /// The full CPU-kernel report.
 pub struct CpuReport {
-    /// Whether this was a `--quick` (CI smoke) run.
-    pub quick: bool,
-    /// `std::thread::available_parallelism` on the measuring host.
-    pub threads_available: usize,
-    /// The two kernels.
+    /// The two kernels, then `sig_interning` (string keys as pre,
+    /// interned keys as post).
     pub kernels: Vec<KernelResult>,
 }
 
-/// Runs both kernels in both variants; `quick` shrinks the workload and
-/// sample counts for CI smoke runs.
+/// Replicates the pre-interning initial-partition keying: two
+/// `format!` allocations per symbol. Kept here (not in `iixml-core`)
+/// purely as the micro-bench baseline for the interned keying.
+fn partition_init_string_keys(it: &IncompleteTree) -> usize {
+    let ty = it.ty();
+    let mut key_to_block: HashMap<String, usize> = HashMap::new();
+    let mut blocks = 0usize;
+    for s in ty.syms() {
+        let info = ty.info(s);
+        let target = match info.target {
+            SymTarget::Lab(l) => format!("L{}", l.0),
+            SymTarget::Node(nd) => format!("N{}", nd.0),
+        };
+        let key = format!("{target}|{}", info.cond);
+        let next = key_to_block.len();
+        let b = *key_to_block.entry(key).or_insert(next);
+        blocks = blocks.max(b + 1);
+    }
+    blocks
+}
+
+/// The interned keying `Minimizer::partition` now uses: the structured
+/// `(SymTarget, IntervalSet)` pair hashed directly, zero allocations.
+fn partition_init_interned_keys(it: &IncompleteTree) -> usize {
+    let ty = it.ty();
+    let mut key_to_block: HashMap<(SymTarget, &IntervalSet), usize> = HashMap::new();
+    let mut blocks = 0usize;
+    for s in ty.syms() {
+        let info = ty.info(s);
+        let next = key_to_block.len();
+        let b = *key_to_block
+            .entry((info.target, &info.cond))
+            .or_insert(next);
+        blocks = blocks.max(b + 1);
+    }
+    blocks
+}
+
+/// Runs both kernels in both variants, then the keying micro-bench, on
+/// the self-product of the Example 3.2 chain; `quick` shrinks the chain
+/// and sample counts for CI smoke runs.
 pub fn run(quick: bool) -> CpuReport {
-    let threads_available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    iixml_obs::set_enabled(true);
     let chain_n = if quick { 5 } else { 7 };
     let samples = if quick { 3 } else { 7 };
 
@@ -69,12 +99,7 @@ pub fn run(quick: bool) -> CpuReport {
     let product = iixml_core::refine::intersect(&base, &base).expect("self-product is compatible");
 
     let intersect = KernelResult {
-        name: "intersect_product",
-        workload: format!(
-            "⋊⋉ self-product of the Example 3.2 chain, n = {chain_n} ({} × {} symbols)",
-            base.ty().sym_count(),
-            base.ty().sym_count()
-        ),
+        name: "intersect",
         pre_ns: median_ns(samples, || {
             let p = iixml_core::refine::intersect_reference(&base, &base)
                 .expect("self-product is compatible");
@@ -87,11 +112,7 @@ pub fn run(quick: bool) -> CpuReport {
         }),
     };
     let minimize = KernelResult {
-        name: "minimize_product",
-        workload: format!(
-            "bisimulation partition of the chain's self-product ({} symbols)",
-            product.ty().sym_count()
-        ),
+        name: "minimize",
         pre_ns: median_ns(samples, || {
             let m = product.minimize_reference();
             assert!(m.ty().sym_count() <= product.ty().sym_count());
@@ -101,82 +122,38 @@ pub fn run(quick: bool) -> CpuReport {
             assert!(m.ty().sym_count() <= product.ty().sym_count());
         }),
     };
+    let sig_interning = KernelResult {
+        name: "sig_interning",
+        pre_ns: median_ns(samples * 3, || {
+            assert!(partition_init_string_keys(&product) > 0);
+        }),
+        post_ns: median_ns(samples * 3, || {
+            assert!(partition_init_interned_keys(&product) > 0);
+        }),
+    };
 
     CpuReport {
-        quick,
-        threads_available,
-        kernels: vec![intersect, minimize],
+        kernels: vec![intersect, minimize, sig_interning],
     }
 }
 
 impl CpuReport {
-    fn kernel(&self, name: &str) -> Option<&KernelResult> {
-        self.kernels.iter().find(|k| k.name == name)
-    }
-
-    /// The intersect kernel's sequential speedup (trajectory headline).
-    pub fn intersect_seq_speedup(&self) -> f64 {
-        self.kernel("intersect_product")
-            .map(KernelResult::seq_speedup)
-            .unwrap_or(0.0)
-    }
-
-    /// The minimize kernel's sequential speedup (trajectory headline).
-    pub fn minimize_seq_speedup(&self) -> f64 {
-        self.kernel("minimize_product")
-            .map(KernelResult::seq_speedup)
-            .unwrap_or(0.0)
-    }
-
-    /// The machine-readable form committed as `BENCH_cpu.json`.
-    pub fn to_json(&self) -> Json {
-        let kernels: Vec<Json> = self
-            .kernels
-            .iter()
-            .map(|k| {
-                Json::obj()
-                    .set("name", k.name)
-                    .set("workload", k.workload.clone())
-                    .set("pre_median_ns", k.pre_ns)
-                    .set("post_median_ns", k.post_ns)
-                    .set("seq_speedup", k.seq_speedup())
-            })
-            .collect();
-        Json::obj()
-            .set("pr", 8u64)
-            .set("quick", self.quick)
-            .set("threads_available", self.threads_available)
-            .set("kernels", kernels)
-            .set("intersect_seq_speedup", self.intersect_seq_speedup())
-            .set("minimize_seq_speedup", self.minimize_seq_speedup())
-    }
-
-    /// Prints the human-readable table.
-    pub fn print_table(&self) {
-        println!(
-            "cpu kernels, one thread ({} samples median; host has {} hardware thread(s))",
-            if self.quick { "quick" } else { "full" },
-            self.threads_available
-        );
+    /// Per kernel: pre and post medians (ms), then the sequential
+    /// speedup, gated at 1.3x for the two Refine kernels.
+    pub fn rows(&self) -> Vec<Row> {
+        let mut rows = Vec::new();
         for k in &self.kernels {
-            println!("\n{} — {}", k.name, k.workload);
-            println!(
-                "  pre {:>10}  post {:>10}  sequential speedup (pre / post) {:.2}x",
-                crate::harness::fmt_ns(k.pre_ns),
-                crate::harness::fmt_ns(k.post_ns),
-                k.seq_speedup()
-            );
+            let metric = |what: &str| format!("{}_{what}", k.name);
+            rows.push(Row::lower("cpu", &metric("pre_ms"), "ms", k.pre_ns / 1e6));
+            rows.push(Row::lower("cpu", &metric("post_ms"), "ms", k.post_ns / 1e6));
+            let speedup = Row::higher("cpu", &metric("seq_speedup"), "x", k.pre_ns / k.post_ns);
+            rows.push(if GATES.contains(&speedup.metric.as_str()) {
+                speedup.bound(1.3)
+            } else {
+                speedup
+            });
         }
-    }
-
-    /// Writes `BENCH_cpu.json` at the repo root; returns the path.
-    pub fn write_json(&self) -> std::io::Result<std::path::PathBuf> {
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .canonicalize()?
-            .join("BENCH_cpu.json");
-        std::fs::write(&path, self.to_json().render_pretty() + "\n")?;
-        Ok(path)
+        rows
     }
 }
 
@@ -197,15 +174,20 @@ mod tests {
     }
 
     #[test]
-    fn quick_report_has_both_kernels() {
-        let r = run(true);
-        assert_eq!(r.kernels.len(), 2);
-        for k in &r.kernels {
-            assert!(k.pre_ns > 0.0 && k.post_ns > 0.0);
-            assert!(k.seq_speedup() > 0.0);
-        }
-        let text = r.to_json().render_pretty();
-        assert!(text.contains("intersect_seq_speedup"));
-        assert!(text.contains("minimize_seq_speedup"));
+    fn both_keyings_count_the_same_blocks() {
+        let t = refine_blowup_tree(3);
+        let product = iixml_core::refine::intersect(&t, &t).unwrap();
+        assert_eq!(
+            partition_init_string_keys(&product),
+            partition_init_interned_keys(&product)
+        );
+    }
+
+    #[test]
+    fn quick_run_carries_every_gate() {
+        let rows = run(true).rows();
+        assert_eq!(rows.len(), 9);
+        assert!(rows.iter().all(|r| r.value > 0.0));
+        assert_eq!(crate::row::gated(&rows), GATES);
     }
 }

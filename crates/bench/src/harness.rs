@@ -144,14 +144,9 @@ impl Group<'_> {
             per_call.push(t.elapsed().as_nanos() as f64 / iters as f64);
         }
         per_call.sort_by(|a, b| a.total_cmp(b));
-        let median = if per_call.len() % 2 == 1 {
-            per_call[per_call.len() / 2]
-        } else {
-            (per_call[per_call.len() / 2 - 1] + per_call[per_call.len() / 2]) / 2.0
-        };
         let m = Measurement {
             min_ns: per_call[0],
-            median_ns: median,
+            median_ns: median(per_call.clone()),
             mean_ns: per_call.iter().sum::<f64>() / per_call.len() as f64,
             samples: per_call.len(),
             iters_per_sample: iters,
@@ -170,6 +165,32 @@ impl Group<'_> {
 
     /// No-op, kept for call-site symmetry with the previous harness.
     pub fn finish(self) {}
+}
+
+/// Median of `v` (mean of the middle pair for even lengths).
+pub fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    if v.len() % 2 == 1 {
+        v[v.len() / 2]
+    } else {
+        (v[v.len() / 2 - 1] + v[v.len() / 2]) / 2.0
+    }
+}
+
+/// Median wall time of `samples` (at least 2) calls of `f`, in ns,
+/// after one unrecorded warm-up call. The bench areas use this for
+/// whole-workload timings where [`Group::bench`]'s calibrated batching
+/// would be wasted.
+pub fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    let runs: Vec<f64> = (0..samples.max(2))
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_nanos() as f64
+        })
+        .collect();
+    median(runs)
 }
 
 /// Renders nanoseconds human-readably (`412ns`, `3.1µs`, `2.4ms`, `1.2s`).

@@ -5,15 +5,59 @@
 //! index; the benches in `benches/` (driven by the std-only [`harness`])
 //! measure times on these workloads, while `src/bin/report.rs` prints
 //! the size/count tables.
+//!
+//! The gated bench areas ([`AREAS`]) each report a flat list of
+//! [`row::Row`]s; `report --bench <area>` prints them, writes
+//! `BENCH_<area>.json`, and exits nonzero when a bounded row fails.
 
 pub mod containbench;
 pub mod cpubench;
 pub mod harness;
 pub mod loadgen;
 pub mod parbench;
+pub mod row;
 pub mod servebench;
-pub mod store2bench;
 pub mod storebench;
+
+/// One gated bench area: its name, its gated metrics, and its runner
+/// (`quick` selects the CI smoke sizes).
+pub struct Area {
+    /// The name `report --bench` takes and `BENCH_<name>.json` carries.
+    pub name: &'static str,
+    /// The metrics with a bound; every run must report all of them.
+    pub gates: &'static [&'static str],
+    /// Runs the area's workloads and returns its rows.
+    pub run: fn(bool) -> Vec<row::Row>,
+}
+
+/// Every gated bench area.
+pub const AREAS: [Area; 5] = [
+    Area {
+        name: "store",
+        gates: storebench::GATES,
+        run: |quick| storebench::run(quick).rows(),
+    },
+    Area {
+        name: "serve",
+        gates: servebench::GATES,
+        run: |quick| servebench::run(quick).rows(),
+    },
+    Area {
+        name: "cpu",
+        gates: cpubench::GATES,
+        run: |quick| cpubench::run(quick).rows(),
+    },
+    Area {
+        name: "contain",
+        gates: containbench::GATES,
+        run: |quick| containbench::run(quick).rows(),
+    },
+    Area {
+        name: "par",
+        gates: parbench::GATES,
+        run: |quick| parbench::run(quick).rows(),
+    },
+];
 
 use iixml_core::{ConjunctiveTree, IncompleteTree, Refiner};
 use iixml_gen::{

@@ -2,8 +2,8 @@
 //! structural reference paths, over seeded random workloads.
 //!
 //! The shipping `refine::intersect` and `IncompleteTree::minimize` run
-//! on interned `u32` ids (dense pair tables, hash-consed atom and
-//! signature interners, chunked parallel maps with per-worker scratch);
+//! sequentially on interned `u32` ids (dense pair tables, hash-consed
+//! atom and signature interners, one reused scratch value per call);
 //! the `*_reference` twins are the verbatim pre-interning code. The
 //! determinism argument (DESIGN.md §13) says the two must agree to the
 //! byte at every worker width — these properties pin that end-to-end on
