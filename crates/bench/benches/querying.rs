@@ -2,7 +2,9 @@
 //!
 //! * E9 (Theorem 3.14): `q(T)` construction time in |T| and in |Σ| (the
 //!   exponential-in-Σ DNF step);
-//! * E10 (Corollary 3.15): full-answerability checks;
+//! * E10 (Corollary 3.15): full-answerability checks, and the whole
+//!   local Ask path (`q(T)`, answerability, the answer) on a fully
+//!   fetched typed session;
 //! * E11 (Theorem 3.19): completion generation;
 //! * E13 (Section 4): extended-query evaluation with branching
 //!   (the factorial matching space).
@@ -10,10 +12,12 @@
 use iixml_bench::harness::Harness;
 use iixml_bench::refined_catalog;
 use iixml_extensions::xquery::{Modality, XQueryBuilder};
-use iixml_gen::catalog_query_camera_pictures;
+use iixml_gen::{catalog, catalog_query_camera_pictures};
 use iixml_mediator::Mediator;
+use iixml_query::parse_ps_query;
 use iixml_tree::{Alphabet, DataTree, Nid};
 use iixml_values::{Cond, Rat};
+use iixml_webhouse::{Session, Source};
 
 fn bench_query_incomplete(h: &mut Harness) {
     let mut g = h.group("E9_query_incomplete");
@@ -36,6 +40,21 @@ fn bench_answerability(h: &mut Harness) {
             knowledge.query(&q).fully_answerable()
         });
     }
+    // The serve Ask path on the shape where it answers locally: a typed
+    // session whose 32-product catalog is fully fetched (the rows above
+    // use the untyped `refined_catalog`, never fully answerable).
+    let c = catalog(32, 13);
+    let mut alpha = c.alpha.clone();
+    let full = parse_ps_query("catalog/product{name, price, cat/subcat}", &mut alpha).unwrap();
+    let ask = parse_ps_query("catalog/product{name, price[< 250]}", &mut alpha).unwrap();
+    let mut session = Session::open(alpha, Source::new(c.doc, Some(c.ty)));
+    session.fetch(&full).unwrap();
+    let knowledge = session.knowledge();
+    assert!(knowledge.query(&ask).fully_answerable());
+    g.bench("ask_path/32", || {
+        let qt = knowledge.query(&ask);
+        qt.fully_answerable() && qt.the_answer().is_some()
+    });
     g.finish();
 }
 

@@ -20,9 +20,11 @@
 //! `r1`).
 
 use crate::ctt::{ConditionalTreeType, Disjunction, SAtom, Sym, SymTarget};
-use crate::itree::IncompleteTree;
+use crate::itree::{IncompleteTree, NodeInfo};
 use iixml_query::{PsQuery, QNodeRef};
-use iixml_tree::{DataTree, Label, Mult};
+use iixml_tree::{DataTree, Label, Mult, Nid};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::collections::HashMap;
 
 /// The position component of an answer-type symbol: paired with a query
@@ -320,7 +322,7 @@ impl IncompleteTree {
     /// of answers `{ q(T0) | T0 ∈ rep(T) }` (Theorem 3.14), along with
     /// whether the empty answer is possible.
     pub fn query(&self, q: &PsQuery) -> QueryOnIncomplete {
-        let trimmed = self.trim();
+        let trimmed = self.trimmed();
         let mut b = Builder {
             it: &trimmed,
             q,
@@ -329,11 +331,23 @@ impl IncompleteTree {
         };
         b.compute_sets();
         let (ty, empty_possible) = b.build();
+        // Only the data nodes the answer type targets: the rest would be
+        // dropped by the trim below anyway.
+        let nodes: BTreeMap<Nid, NodeInfo> = ty
+            .syms()
+            .filter_map(|s| match ty.info(s).target {
+                SymTarget::Node(n) => trimmed.node_info(n).map(|info| (n, info)),
+                SymTarget::Lab(_) => None,
+            })
+            .collect();
         // Infallible: the answer type only targets nodes of `trimmed`,
         // which came from a well-formed input.
-        let tree = IncompleteTree::new(trimmed.nodes().clone(), ty)
-            .expect("answer type reuses the input's data nodes")
-            .trim();
+        let tree =
+            IncompleteTree::new(nodes, ty).expect("answer type reuses the input's data nodes");
+        let tree = match tree.trimmed() {
+            Cow::Owned(t) => t,
+            Cow::Borrowed(_) => tree,
+        };
         QueryOnIncomplete {
             tree,
             empty_possible,
@@ -372,7 +386,7 @@ impl QueryOnIncomplete {
     /// specializes a data node — and emptiness of the answer does not
     /// depend on the unknown part.
     pub fn fully_answerable(&self) -> bool {
-        let trimmed = self.tree.trim();
+        let trimmed = self.tree.trimmed();
         if self.empty_possible {
             // Mixed empty/nonempty outcomes are only consistent when no
             // answer is ever produced.
@@ -388,7 +402,7 @@ impl QueryOnIncomplete {
     /// When [`fully_answerable`](Self::fully_answerable), the unique
     /// answer (or `None` for the empty answer); unspecified otherwise.
     pub fn the_answer(&self) -> Option<DataTree> {
-        self.tree.trim().data_tree()
+        self.tree.data_tree()
     }
 
     /// The *sure part* of the answer (the paper's "sure answer
@@ -406,7 +420,7 @@ impl QueryOnIncomplete {
         if self.empty_possible {
             return None;
         }
-        let trimmed = self.tree.trim();
+        let trimmed = self.tree.trimmed();
         let ty = trimmed.ty();
         // Every root symbol must pin the same data node.
         let mut root_node = None;

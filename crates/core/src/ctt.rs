@@ -295,7 +295,13 @@ impl ConditionalTreeType {
     /// standard grammar argument: a productive symbol occurring (with a
     /// realizable atom) under a reachable symbol is reachable.
     pub fn useful(&self) -> Vec<bool> {
-        let prod = self.productive();
+        self.useful_given(&self.productive())
+    }
+
+    /// [`useful`](Self::useful) from an already computed
+    /// [`productive`](Self::productive) set, so callers needing both run
+    /// the fixpoint once.
+    fn useful_given(&self, prod: &[bool]) -> Vec<bool> {
         let n = self.symbols.len();
         let mut reach = vec![false; n];
         let mut stack: Vec<usize> = self
@@ -329,12 +335,20 @@ impl ConditionalTreeType {
         reach
     }
 
+    /// Would [`trim`](Self::trim) leave the type unchanged? True iff
+    /// every symbol is useful. Every atom is then realizable too (useful
+    /// symbols are productive), so trim would drop no symbol, atom or
+    /// entry and rebuild a structurally equal type.
+    pub(crate) fn is_trimmed(&self) -> bool {
+        self.useful().iter().all(|&u| u)
+    }
+
     /// Removes useless symbols, unrealizable atoms, and optional entries
     /// that can never be instantiated, preserving `rep` exactly. Returns
     /// the trimmed type and the old-to-new symbol mapping.
     pub fn trim(&self) -> (ConditionalTreeType, Vec<Option<Sym>>) {
-        let useful = self.useful();
         let prod = self.productive();
+        let useful = self.useful_given(&prod);
         let mut remap: Vec<Option<Sym>> = vec![None; self.symbols.len()];
         let mut out = ConditionalTreeType::new();
         for s in self.syms() {

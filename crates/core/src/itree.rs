@@ -20,6 +20,7 @@ use crate::ctt::{ConditionalTreeType, Disjunction, SAtom, Sym, SymTarget};
 use iixml_tree::flow::Circulation;
 use iixml_tree::{DataTree, Label, Mult, Nid, NidGen, NodeRef};
 use iixml_values::{IntervalSet, Rat};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
@@ -160,6 +161,39 @@ impl IncompleteTree {
         IncompleteTree { nodes, ty }
     }
 
+    /// [`trim`](Self::trim) that borrows when there is nothing to
+    /// remove: `Borrowed(self)` exactly when every symbol is useful and
+    /// every data node is targeted by some symbol, so `trim()` would
+    /// return a structurally equal tree. Read-only callers use this
+    /// instead of re-trimming knowledge that is already trim.
+    pub fn trimmed(&self) -> Cow<'_, IncompleteTree> {
+        if self.ty.is_trimmed() && self.every_node_targeted() {
+            Cow::Borrowed(self)
+        } else {
+            Cow::Owned(self.trim())
+        }
+    }
+
+    /// Is every data node the target of some symbol? One pass over the
+    /// symbols into a sorted set, then one merge walk against the
+    /// (sorted) node keys.
+    fn every_node_targeted(&self) -> bool {
+        let mut targeted: Vec<Nid> = self
+            .ty
+            .syms()
+            .filter_map(|s| match self.ty.info(s).target {
+                SymTarget::Node(n) => Some(n),
+                SymTarget::Lab(_) => None,
+            })
+            .collect();
+        targeted.sort_unstable();
+        targeted.dedup();
+        let mut targeted = targeted.into_iter();
+        self.nodes
+            .keys()
+            .all(|n| targeted.by_ref().any(|t| t == *n))
+    }
+
     /// A concrete member of `rep(T)`, or `None` if empty. Fresh ids for
     /// non-instantiated nodes come from `gen` (callers should start it
     /// above all instantiated ids).
@@ -291,7 +325,7 @@ impl IncompleteTree {
         if self.nodes.is_empty() {
             return None;
         }
-        let trimmed = self.trim();
+        let trimmed = self.trimmed();
         let ty = &trimmed.ty;
         let mut parent: HashMap<Nid, Option<Nid>> = HashMap::new();
         for s in ty.syms() {
@@ -359,7 +393,7 @@ impl IncompleteTree {
     /// node occurs at most once, and parents of data nodes are data
     /// nodes.
     pub fn well_formed(&self) -> Result<(), ItreeError> {
-        let trimmed = self.trim();
+        let trimmed = self.trimmed();
         let ty = &trimmed.ty;
         // (b) structural parent check on the trimmed (all-useful) type.
         for s in ty.syms() {

@@ -181,7 +181,7 @@ impl IncompleteTree {
                 }
             }
         }
-        let trimmed = self.trim();
+        let trimmed = self.trimmed();
         if trimmed.ty().roots().is_empty() {
             return false; // rep is empty
         }

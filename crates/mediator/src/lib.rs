@@ -167,7 +167,7 @@ impl<'a> Mediator<'a> {
         static OBS_COMPLETE_NS: iixml_obs::LazyHistogram =
             iixml_obs::LazyHistogram::new(iixml_obs::keys::MEDIATOR_COMPLETE_NS);
         let _span = OBS_COMPLETE_NS.time();
-        let trimmed = self.it.trim();
+        let trimmed = self.it.trimmed();
         let sets = match_sets(&trimmed, q);
         let mut out = Completion::default();
         let Some(td) = trimmed.data_tree() else {

@@ -350,13 +350,45 @@ impl IntervalSet {
 
     /// Subset test: does every value satisfying `self` satisfy `other`?
     /// (Condition implication.)
+    ///
+    /// Equals `self.difference(other).is_empty()` without building the
+    /// difference: a merge walk that covers each interval of `self` by
+    /// consecutive intervals of `other`.
     pub fn implies(&self, other: &IntervalSet) -> bool {
-        self.difference(other).is_empty()
+        let mut j = 0;
+        for a in &self.ivs {
+            let mut pos = a.lo;
+            while pos < a.hi {
+                while j < other.ivs.len() && other.ivs[j].hi <= pos {
+                    j += 1;
+                }
+                match other.ivs.get(j) {
+                    Some(b) if b.lo <= pos => pos = b.hi,
+                    _ => return false,
+                }
+            }
+        }
+        true
     }
 
     /// Do the two sets share a value? (Conjunction satisfiable.)
+    ///
+    /// Equals `!self.intersect(other).is_empty()`: the same merge walk,
+    /// stopping at the first nonempty piece instead of collecting them.
     pub fn overlaps(&self, other: &IntervalSet) -> bool {
-        !self.intersect(other).is_empty()
+        let (mut i, mut j) = (0, 0);
+        while i < self.ivs.len() && j < other.ivs.len() {
+            let (a, b) = (self.ivs[i], other.ivs[j]);
+            if a.lo.max(b.lo) < a.hi.min(b.hi) {
+                return true;
+            }
+            if a.hi <= b.hi {
+                i += 1;
+            } else {
+                j += 1;
+            }
+        }
+        false
     }
 
     /// Some rational in the set, if nonempty. Witnesses are used to
