@@ -91,10 +91,16 @@ impl IncompleteTree {
         nodes: BTreeMap<Nid, NodeInfo>,
         mut ty: ConditionalTreeType,
     ) -> Result<IncompleteTree, ItreeError> {
-        for s in ty.syms().collect::<Vec<_>>() {
+        for s in (0..ty.sym_count() as u32).map(Sym) {
             if let SymTarget::Node(n) = ty.info(s).target {
                 let info = *nodes.get(&n).ok_or(ItreeError::UnknownNode(n))?;
-                let narrowed = ty.info(s).cond.intersect(&IntervalSet::eq(info.value));
+                let cond = &ty.info(s).cond;
+                // Already inside {ν(n)} (every product and `T_{q,A}`
+                // node symbol is): narrowing would rebuild an equal set.
+                if cond.is_empty() || cond.as_singleton() == Some(info.value) {
+                    continue;
+                }
+                let narrowed = cond.intersect(&IntervalSet::eq(info.value));
                 ty.info_mut(s).cond = narrowed;
             }
         }
@@ -167,11 +173,16 @@ impl IncompleteTree {
     /// return a structurally equal tree. Read-only callers use this
     /// instead of re-trimming knowledge that is already trim.
     pub fn trimmed(&self) -> Cow<'_, IncompleteTree> {
-        if self.ty.is_trimmed() && self.every_node_targeted() {
+        if self.is_trim() {
             Cow::Borrowed(self)
         } else {
             Cow::Owned(self.trim())
         }
+    }
+
+    /// Would [`trim`](Self::trim) return a structurally equal tree?
+    pub(crate) fn is_trim(&self) -> bool {
+        self.ty.is_trimmed() && self.every_node_targeted()
     }
 
     /// Is every data node the target of some symbol? One pass over the
@@ -512,6 +523,21 @@ impl IncompleteTree {
         }
         true
     }
+}
+
+/// `t` itself when `view` borrows it (there is nothing to change),
+/// else the tree `view` rebuilt: the by-value form of
+/// [`IncompleteTree::trimmed`] and [`IncompleteTree::minimized`], so an
+/// owner moves its tree on instead of cloning it.
+pub(crate) fn keep_unless_changed(
+    t: IncompleteTree,
+    view: impl for<'a> Fn(&'a IncompleteTree) -> Cow<'a, IncompleteTree>,
+) -> IncompleteTree {
+    let changed = match view(&t) {
+        Cow::Owned(new) => Some(new),
+        Cow::Borrowed(_) => None,
+    };
+    changed.unwrap_or(t)
 }
 
 /// Helper returned by [`IncompleteTree::display`].

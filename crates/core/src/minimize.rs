@@ -19,14 +19,17 @@
 //!
 //! [`IncompleteTree::minimize`] is idempotent and `rep`-preserving; the
 //! [`crate::Refiner`] applies it after every step, which keeps benign
-//! chains (in particular Proposition 3.13's) polynomial.
+//! chains (in particular Proposition 3.13's) polynomial. Most steps merge
+//! nothing, so [`IncompleteTree::minimized`] borrows its input whenever
+//! the rebuild would only copy it.
 
 use crate::ctt::{ConditionalTreeType, Disjunction, SAtom, Sym, SymTarget};
 use crate::intern::{AtomId, InternedType, SliceInterner};
-use crate::itree::IncompleteTree;
+use crate::itree::{keep_unless_changed, IncompleteTree};
 use iixml_obs::{keys, LazyCounter, LazyHistogram};
 use iixml_tree::Mult;
 use iixml_values::IntervalSet;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -36,6 +39,8 @@ static OBS_MINIMIZE_NS: LazyHistogram = LazyHistogram::new(keys::CORE_MINIMIZE_C
 static OBS_MERGED: LazyCounter = LazyCounter::new(keys::CORE_MINIMIZE_SYMBOLS_MERGED);
 /// Distinct partition signatures interned across all refinement rounds.
 static OBS_INTERNED: LazyCounter = LazyCounter::new(keys::CORE_MINIMIZE_INTERNED_SIGS);
+/// `minimized()` calls that borrowed their input.
+static OBS_UNCHANGED: LazyCounter = LazyCounter::new(keys::CORE_MINIMIZE_UNCHANGED);
 
 fn bounds(m: Mult) -> (u8, bool) {
     // (lower bound, unbounded?)
@@ -70,11 +75,24 @@ impl IncompleteTree {
     /// `rep` exactly. Run [`IncompleteTree::trim`] first for best effect
     /// (the [`crate::Refiner`] does both).
     pub fn minimize(&self) -> IncompleteTree {
+        self.minimized().into_owned()
+    }
+
+    /// [`minimize`](Self::minimize) that borrows when the rebuild would
+    /// copy its input: `Borrowed(self)` exactly when the bisimulation
+    /// partition is discrete (every symbol its own block), every µ's
+    /// atoms and the root list are strictly sorted, and the tree is trim.
+    /// When no two symbols share a (target, cond) pair the partition is
+    /// discrete from the start, so that case skips interning, partition
+    /// rounds, the rebuild and the trailing trim.
+    pub fn minimized(&self) -> Cow<'_, IncompleteTree> {
         let _span = OBS_MINIMIZE_NS.time();
         let ty = self.ty();
         let n = ty.sym_count();
-        if n == 0 {
-            return self.clone();
+        let sorted = self.in_rebuild_order();
+        if n == 0 || (sorted && self.keys_distinct() && self.is_trim()) {
+            OBS_UNCHANGED.incr();
+            return Cow::Borrowed(self);
         }
         // Lower every µ onto the interned kernel store once per call:
         // the freeze loop and every partition round below walk flat
@@ -114,9 +132,14 @@ impl IncompleteTree {
                 }
             }
             if violated.is_empty() {
+                let discrete = block_of.iter().enumerate().all(|(s, &b)| s == b);
+                if discrete && sorted && self.is_trim() {
+                    OBS_UNCHANGED.incr();
+                    return Cow::Borrowed(self);
+                }
                 let out = self.rebuild(&block_of);
                 OBS_MERGED.add((n - out.ty().sym_count().min(n)) as u64);
-                return out;
+                return Cow::Owned(out);
             }
             // Freeze every member of each offending block.
             for c in ty.syms() {
@@ -125,6 +148,34 @@ impl IncompleteTree {
                 }
             }
         }
+    }
+
+    /// Does [`rebuild`](Self::rebuild) keep this tree's order? True iff
+    /// the root list, every µ's atom list and every atom's entries are
+    /// strictly sorted (the rebuild sorts and dedups all three).
+    fn in_rebuild_order(&self) -> bool {
+        let ty = self.ty();
+        ty.roots().windows(2).all(|w| w[0] < w[1])
+            && ty.syms().all(|s| {
+                let atoms = ty.mu(s).atoms();
+                atoms
+                    .windows(2)
+                    .all(|w| w[0].entries().iter().lt(w[1].entries().iter()))
+                    && atoms
+                        .iter()
+                        .all(|a| a.entries().windows(2).all(|w| w[0].0 < w[1].0))
+            })
+    }
+
+    /// Does every symbol have a (target, cond) pair of its own? Then the
+    /// initial partition, and so the final one, is discrete.
+    fn keys_distinct(&self) -> bool {
+        let ty = self.ty();
+        let mut seen: HashSet<(SymTarget, &IntervalSet)> = HashSet::with_capacity(ty.sym_count());
+        ty.syms().all(|s| {
+            let info = ty.info(s);
+            seen.insert((info.target, &info.cond))
+        })
     }
 
     /// Coarsest partition compatible with (target, cond, frozen-ness)
@@ -272,9 +323,8 @@ impl IncompleteTree {
         out.set_roots(roots);
         // Infallible: minimization rewrites symbols only — the node set is
         // exactly the one this (well-formed) tree already carries.
-        IncompleteTree::new(self.nodes().clone(), out)
-            .expect("nodes unchanged")
-            .trim()
+        let out = IncompleteTree::new(self.nodes().clone(), out).expect("nodes unchanged");
+        keep_unless_changed(out, IncompleteTree::trimmed)
     }
 
     /// The pre-interning structural minimization, preserved verbatim:
@@ -576,6 +626,85 @@ mod tests {
             format!("{:?}", reference.ty())
         );
         assert_eq!(interned.size(), reference.size());
+    }
+
+    /// `r -> µ(a1, a2)` with two leaf children of label 1: `a1` under
+    /// `all`, `a2` under `cond2`.
+    fn two_kids(
+        cond2: IntervalSet,
+        mu: impl Fn(Sym, Sym) -> Disjunction,
+    ) -> (ConditionalTreeType, [Sym; 3]) {
+        let mut ty = ConditionalTreeType::new();
+        let r = ty.add_symbol("r", SymTarget::Lab(Label(0)), IntervalSet::all());
+        let a1 = ty.add_symbol("a1", SymTarget::Lab(Label(1)), IntervalSet::all());
+        let a2 = ty.add_symbol("a2", SymTarget::Lab(Label(1)), cond2);
+        ty.set_mu(r, mu(a1, a2));
+        ty.set_mu(a1, Disjunction::leaf());
+        ty.set_mu(a2, Disjunction::leaf());
+        ty.add_root(r);
+        (ty, [r, a1, a2])
+    }
+
+    /// `minimized()` borrows exactly when the reference minimization
+    /// returns a tree equal to its input, over the shapes that decide
+    /// it: merges, distinct keys, shared keys that stay apart (split by
+    /// µ or frozen), unsorted or duplicate atoms, unsorted roots,
+    /// useless symbols and the empty type.
+    #[test]
+    fn minimized_borrows_exactly_when_reference_is_unchanged() {
+        let stars = |a: Sym, b: Sym| {
+            Disjunction::single(SAtom::new(vec![(a, Mult::Star), (b, Mult::Star)]))
+        };
+        let pos = || Cond::gt(Rat::ZERO).to_intervals();
+        let mut cases: Vec<(&str, ConditionalTreeType, bool)> = Vec::new();
+        cases.push((
+            "bisimilar pair",
+            two_kids(IntervalSet::all(), stars).0,
+            false,
+        ));
+        cases.push(("distinct keys", two_kids(pos(), stars).0, true));
+        let (mut split, [_, a1, a2]) = two_kids(IntervalSet::all(), stars);
+        split.set_mu(a2, Disjunction::single(SAtom::new(vec![(a1, Mult::One)])));
+        cases.push(("shared key split by µ", split, true));
+        let ones =
+            |a: Sym, b: Sym| Disjunction::single(SAtom::new(vec![(a, Mult::One), (b, Mult::One)]));
+        cases.push((
+            "shared key frozen",
+            two_kids(IntervalSet::all(), ones).0,
+            true,
+        ));
+        let unsorted = |a: Sym, b: Sym| {
+            Disjunction(vec![
+                SAtom::new(vec![(b, Mult::Star)]),
+                SAtom::new(vec![(a, Mult::Star)]),
+            ])
+        };
+        cases.push(("unsorted atoms", two_kids(pos(), unsorted).0, false));
+        let twice = |a: Sym, _: Sym| Disjunction(vec![SAtom::new(vec![(a, Mult::One)]); 2]);
+        cases.push(("duplicate atoms", two_kids(pos(), twice).0, false));
+        let (mut roots, [r, a1, _]) = two_kids(pos(), stars);
+        roots.set_roots(vec![a1, r]);
+        cases.push(("unsorted roots", roots, false));
+        let (mut orphan, _) = two_kids(pos(), stars);
+        let o = orphan.add_symbol("o", SymTarget::Lab(Label(2)), IntervalSet::all());
+        orphan.set_mu(o, Disjunction::leaf());
+        cases.push(("useless symbol", orphan, false));
+        cases.push(("empty type", ConditionalTreeType::new(), true));
+        for (name, ty, expect) in cases {
+            let it = IncompleteTree::new(BTreeMap::new(), ty).unwrap();
+            let unchanged = format!("{:?}", it.minimize_reference()) == format!("{it:?}");
+            let borrowed = matches!(it.minimized(), Cow::Borrowed(_));
+            assert_eq!(
+                borrowed, unchanged,
+                "{name}: borrowed iff reference unchanged"
+            );
+            assert_eq!(borrowed, expect, "{name}");
+            assert_eq!(
+                format!("{:?}", it.minimize()),
+                format!("{:?}", it.minimize_reference()),
+                "{name}"
+            );
+        }
     }
 
     /// Minimization is idempotent.

@@ -18,13 +18,16 @@
 //!    construction correct on arbitrary inputs while coinciding with the
 //!    paper's on unambiguous ones.
 //!
-//! [`Refiner`] chains these: `T ← trim(T ∩ T_{q,A})` per query-answer
-//! pair (Theorem 3.4: polynomial per step — though the result can grow
-//! exponentially in the *whole sequence*, see Example 3.2 and the
-//! `blowup` bench).
+//! [`Refiner`] chains these: `T ← minimize(trim(T ∩ T_{q,A}))` per
+//! query-answer pair (Theorem 3.4: polynomial per step — though the
+//! result can grow exponentially in the *whole sequence*, see Example 3.2
+//! and the `blowup` bench). The product is built from the root pairs
+//! outward, and trim and minimize hand it back unchanged when they
+//! would only copy it, so a step that learns no merge allocates only
+//! the product.
 
 use crate::ctt::{ConditionalTreeType, Disjunction, SAtom, Sym, SymTarget};
-use crate::itree::{IncompleteTree, ItreeError, NodeInfo};
+use crate::itree::{keep_unless_changed, IncompleteTree, ItreeError, NodeInfo};
 use iixml_obs::{keys, LazyCounter, LazyHistogram};
 use iixml_query::{Answer, MatchKind, PsQuery, QNodeRef};
 use iixml_tree::{Alphabet, DataTree, Label, Mult, Nid};
@@ -248,17 +251,21 @@ fn mult_from(mandatory: bool, bounded: bool) -> Mult {
     }
 }
 
-/// The product-symbol table of one `intersect` call: maps `(s1, s2)`
-/// to the product symbol. Dense (one flat `u32` vector indexed by
-/// `s1.ix() * n2 + s2.ix()`) whenever the pair space fits
-/// [`DENSE_PAIR_LIMIT`] — the ⋊⋉ join probes this table for every
-/// entry pair of every atom pair, and an array load beats a hash per
-/// probe by an order of magnitude. Oversized products fall back to the
-/// hash map (keyed lookups only; iteration always goes through the
-/// in-order `keys` vector).
+/// Product-table slot of a pair never probed.
+const UNPROBED: u32 = u32::MAX;
+/// Product-table slot of a pair that can type no node.
+const INCOMPATIBLE: u32 = u32::MAX - 1;
+
+/// The pair table of one `intersect` call: maps `(s1, s2)` to the
+/// pair's discovery id, or to [`UNPROBED`] / [`INCOMPATIBLE`]. Dense
+/// (one flat `u32` vector indexed by `s1.ix() * n2 + s2.ix()`) whenever
+/// the pair space fits [`DENSE_PAIR_LIMIT`] — the ⋊⋉ join probes this
+/// table for every entry pair of every atom pair, and an array load
+/// beats a hash per probe by an order of magnitude. Oversized products
+/// fall back to the hash map (keyed lookups only; nothing iterates it).
 enum PairTable {
     Dense { n2: usize, slots: Vec<u32> },
-    Sparse(HashMap<(Sym, Sym), Sym>),
+    Sparse(HashMap<(Sym, Sym), u32>),
 }
 
 impl PairTable {
@@ -266,35 +273,139 @@ impl PairTable {
         if n1.saturating_mul(n2) <= DENSE_PAIR_LIMIT {
             PairTable::Dense {
                 n2: n2.max(1),
-                slots: vec![u32::MAX; n1 * n2],
+                slots: vec![UNPROBED; n1 * n2],
             }
         } else {
             PairTable::Sparse(HashMap::new())
         }
     }
 
-    fn insert(&mut self, s1: Sym, s2: Sym, p: Sym) {
+    fn set(&mut self, s1: Sym, s2: Sym, v: u32) {
         match self {
             PairTable::Dense { n2, slots } => {
                 if let Some(slot) = slots.get_mut(s1.ix() * *n2 + s2.ix()) {
-                    *slot = p.0;
+                    *slot = v;
                 }
             }
             PairTable::Sparse(map) => {
-                map.insert((s1, s2), p);
+                map.insert((s1, s2), v);
             }
         }
     }
 
     #[inline]
-    fn get(&self, s1: Sym, s2: Sym) -> Option<Sym> {
+    fn get(&self, s1: Sym, s2: Sym) -> u32 {
         match self {
             PairTable::Dense { n2, slots } => slots
                 .get(s1.ix() * *n2 + s2.ix())
                 .copied()
-                .filter(|&id| id != u32::MAX)
-                .map(Sym),
-            PairTable::Sparse(map) => map.get(&(s1, s2)).copied(),
+                .unwrap_or(INCOMPATIBLE),
+            PairTable::Sparse(map) => map.get(&(s1, s2)).copied().unwrap_or(UNPROBED),
+        }
+    }
+}
+
+/// What pairing needs to know about one symbol, looked up once per
+/// `intersect` call rather than once per probed pair (a data node's
+/// label and membership are `BTreeMap` lookups).
+#[derive(Clone, Copy)]
+struct Pairing {
+    /// The symbol's own target.
+    target: SymTarget,
+    /// The label of the nodes the symbol types (`λ(n)` for a data node).
+    label: Option<Label>,
+    /// For a node target: does the other tree know that node too?
+    known_to_other: bool,
+}
+
+fn pairings(t: &IncompleteTree, other: &IncompleteTree) -> Vec<Pairing> {
+    let ty = t.ty();
+    ty.syms()
+        .map(|s| {
+            let target = ty.info(s).target;
+            let (label, known_to_other) = match target {
+                SymTarget::Lab(l) => (Some(l), false),
+                SymTarget::Node(n) => (
+                    t.node_info(n).map(|i| i.label),
+                    other.nodes().contains_key(&n),
+                ),
+            };
+            Pairing {
+                target,
+                label,
+                known_to_other,
+            }
+        })
+        .collect()
+}
+
+/// The product symbols of one `intersect` call, discovered on demand:
+/// a pair gets a discovery id the first time the ⋊⋉ join probes it and
+/// finds it compatible (targets agree, conditions overlap), and is
+/// explored once an emitted atom (or the root list) mentions it.
+struct Product<'a> {
+    ty1: &'a ConditionalTreeType,
+    ty2: &'a ConditionalTreeType,
+    pairing1: Vec<Pairing>,
+    pairing2: Vec<Pairing>,
+    table: PairTable,
+    /// `(s1, s2)` and the pair's target, by discovery id.
+    pairs: Vec<(Sym, Sym, SymTarget)>,
+    /// By discovery id: already on the exploration stack (reachable).
+    queued: Vec<bool>,
+}
+
+impl Product<'_> {
+    /// The specialization target of the pair `(s1, s2)`, or `None` when
+    /// no node can carry both symbols.
+    fn target(&self, s1: Sym, s2: Sym) -> Option<SymTarget> {
+        let (p1, p2) = (self.pairing1[s1.ix()], self.pairing2[s2.ix()]);
+        if p1.label != p2.label {
+            return None;
+        }
+        match (p1.target, p2.target) {
+            (SymTarget::Lab(a), SymTarget::Lab(_)) => Some(SymTarget::Lab(a)),
+            (SymTarget::Node(n), SymTarget::Node(m)) => (n == m).then_some(SymTarget::Node(n)),
+            // A node of one side pairs with a label of the other only
+            // when the other side does not know the node: in its rep
+            // that node is an ordinary node of that label.
+            (SymTarget::Node(n), SymTarget::Lab(_)) => {
+                (!p1.known_to_other).then_some(SymTarget::Node(n))
+            }
+            (SymTarget::Lab(_), SymTarget::Node(m)) => {
+                (!p2.known_to_other).then_some(SymTarget::Node(m))
+            }
+        }
+    }
+
+    /// The discovery id of `(s1, s2)`, or `None` when the pair can type
+    /// no node.
+    fn probe(&mut self, s1: Sym, s2: Sym) -> Option<Sym> {
+        match self.table.get(s1, s2) {
+            INCOMPATIBLE => None,
+            UNPROBED => {
+                let target = self
+                    .target(s1, s2)
+                    .filter(|_| (self.ty1.info(s1).cond).overlaps(&self.ty2.info(s2).cond));
+                let Some(target) = target else {
+                    self.table.set(s1, s2, INCOMPATIBLE);
+                    return None;
+                };
+                let id = self.pairs.len() as u32;
+                self.table.set(s1, s2, id);
+                self.pairs.push((s1, s2, target));
+                self.queued.push(false);
+                Some(Sym(id))
+            }
+            id => Some(Sym(id)),
+        }
+    }
+
+    /// Marks the pair `p` reachable, pushing it on `stack` the first
+    /// time.
+    fn reach(&mut self, p: Sym, stack: &mut Vec<Sym>) {
+        if !std::mem::replace(&mut self.queued[p.ix()], true) {
+            stack.push(p);
         }
     }
 }
@@ -315,6 +426,13 @@ struct JoinScratch {
 
 /// Intersection of two incomplete trees (Lemma 3.3):
 /// `rep(result) = rep(t1) ∩ rep(t2)`.
+///
+/// The product is built from the root pairs outward: a pair is explored
+/// only once the root list or an atom the ⋊⋉ join emits mentions it.
+/// Symbols are then numbered in ascending `(s1, s2)` order, so the
+/// result is exactly [`intersect_reference`]'s full product restricted
+/// to its root-reachable symbols (the symbols `trim()` could keep), and
+/// its `trim()` is byte-identical.
 ///
 /// Fails with [`ItreeError::IncompatibleNode`] when the trees disagree on
 /// a shared data node's label or value (in which case the intersection is
@@ -340,95 +458,106 @@ pub fn intersect(t1: &IncompleteTree, t2: &IncompleteTree) -> Result<IncompleteT
     }
 
     let (ty1, ty2) = (t1.ty(), t2.ty());
-    let mut ty = ConditionalTreeType::new();
-    let mut pair_of = PairTable::for_sizes(ty1.sym_count(), ty2.sym_count());
-    // Pairs are discovered by ascending (s1, s2) loops, so `keys` is
-    // born sorted — every later pass (roots, µ scheduling, set_mu)
-    // walks it in that deterministic order and nothing ever iterates
-    // the pair table itself.
-    let mut keys: Vec<(Sym, Sym, Sym)> = Vec::new();
-
-    for s1 in ty1.syms() {
-        let i1 = ty1.info(s1);
-        let n1 = truncate(&i1.name);
-        for s2 in ty2.syms() {
-            let i2 = ty2.info(s2);
-            let target = match (i1.target, i2.target) {
-                (SymTarget::Lab(a), SymTarget::Lab(b)) if a == b => SymTarget::Lab(a),
-                (SymTarget::Node(n), SymTarget::Node(m)) if n == m => SymTarget::Node(n),
-                (SymTarget::Node(n), SymTarget::Lab(b)) => {
-                    // Only when the node is unknown to t2 and its label
-                    // matches: in rep(t2) that node is an ordinary
-                    // b-labeled node.
-                    if t2.nodes().contains_key(&n) || t1.node_info(n).map(|i| i.label) != Some(b) {
-                        continue;
-                    }
-                    SymTarget::Node(n)
-                }
-                (SymTarget::Lab(a), SymTarget::Node(m)) => {
-                    if t1.nodes().contains_key(&m) || t2.node_info(m).map(|i| i.label) != Some(a) {
-                        continue;
-                    }
-                    SymTarget::Node(m)
-                }
-                _ => continue,
-            };
-            let cond = i1.cond.intersect(&i2.cond);
-            if cond.is_empty() {
-                continue; // unsatisfiable pair can never type a node
+    let mut product = Product {
+        ty1,
+        ty2,
+        pairing1: pairings(t1, t2),
+        pairing2: pairings(t2, t1),
+        table: PairTable::for_sizes(ty1.sym_count(), ty2.sym_count()),
+        pairs: Vec::new(),
+        queued: Vec::new(),
+    };
+    let mut stack: Vec<Sym> = Vec::new();
+    let mut roots: Vec<Sym> = Vec::new();
+    for &r1 in ty1.roots() {
+        for &r2 in ty2.roots() {
+            if let Some(p) = product.probe(r1, r2) {
+                roots.push(p);
+                product.reach(p, &mut stack);
             }
-            // Same "{n1}&{n2}" string as the reference path, built by
-            // plain pushes: the formatting machinery was a visible
-            // fraction of symbol construction at ~30k product symbols.
-            let n2 = truncate(&i2.name);
-            let mut name = String::with_capacity(n1.len() + 1 + n2.len());
-            name.push_str(n1);
-            name.push('&');
-            name.push_str(n2);
-            let p = ty.add_symbol(name, target, cond);
-            pair_of.insert(s1, s2, p);
-            keys.push((s1, s2, p));
         }
     }
 
-    // Roots.
-    for &(s1, s2, p) in &keys {
-        if ty1.roots().contains(&s1) && ty2.roots().contains(&s2) {
-            ty.add_root(p);
-        }
-    }
-
-    // µ of each pair: union over disjunct pairs of the joined atoms,
-    // computed and assigned directly in key order (the hot inner loop
-    // of Algorithm Refine) with one reused scratch arena.
+    // Explore: the µ of each reachable pair is the union over disjunct
+    // pairs of the joined atoms (the hot inner loop of Algorithm
+    // Refine), computed with one reused scratch arena; every pair an
+    // emitted atom mentions is reachable too.
     let mut scratch = JoinScratch::default();
-    for &(s1, s2, p) in &keys {
-        let mu = pair_mu(ty1, ty2, s1, s2, &pair_of, &mut scratch);
-        ty.set_mu(p, mu);
+    let mut mus: Vec<Vec<Joined>> = Vec::new();
+    while let Some(p) = stack.pop() {
+        let (s1, s2, _) = product.pairs[p.ix()];
+        let mu = pair_mu(&mut product, s1, s2, &mut scratch);
+        for &(c, _) in mu.iter().flatten() {
+            product.reach(c, &mut stack);
+        }
+        mus.resize_with(product.pairs.len(), Vec::new);
+        mus[p.ix()] = mu;
     }
+
+    // Number the reachable pairs in ascending (s1, s2) order — the
+    // order the full product would give them — and rewrite every µ from
+    // discovery ids to those numbers.
+    let mut order: Vec<Sym> = (0..product.pairs.len() as u32)
+        .map(Sym)
+        .filter(|p| product.queued[p.ix()])
+        .collect();
+    order.sort_unstable_by_key(|p| {
+        let (s1, s2, _) = product.pairs[p.ix()];
+        (s1, s2)
+    });
+    let mut number: Vec<Sym> = vec![Sym(u32::MAX); product.pairs.len()];
+    let mut ty = ConditionalTreeType::new();
+    for &p in &order {
+        let (s1, s2, target) = product.pairs[p.ix()];
+        let (i1, i2) = (ty1.info(s1), ty2.info(s2));
+        // Same "{n1}&{n2}" string as the reference path, built by plain
+        // pushes: the formatting machinery was a visible fraction of
+        // symbol construction at ~30k product symbols.
+        let (n1, n2) = (truncate(&i1.name), truncate(&i2.name));
+        let mut name = String::with_capacity(n1.len() + 1 + n2.len());
+        name.push_str(n1);
+        name.push('&');
+        name.push_str(n2);
+        number[p.ix()] = ty.add_symbol(name, target, i1.cond.intersect(&i2.cond));
+    }
+    for &p in &order {
+        let mut atoms: Vec<SAtom> = std::mem::take(&mut mus[p.ix()])
+            .into_iter()
+            .map(|mut entries| {
+                entries.iter_mut().for_each(|e| e.0 = number[e.0.ix()]);
+                SAtom::new(entries)
+            })
+            .collect();
+        atoms.sort_by(|x, y| x.entries().iter().cmp(y.entries().iter()));
+        atoms.dedup();
+        ty.set_mu(number[p.ix()], Disjunction(atoms));
+    }
+    let mut roots: Vec<Sym> = roots.into_iter().map(|p| number[p.ix()]).collect();
+    roots.sort_unstable();
+    roots.dedup();
+    ty.set_roots(roots);
 
     IncompleteTree::new(nodes, ty)
 }
 
+/// One atom emitted by the ⋊⋉ join, over discovery ids. Its entries
+/// come in ascending `(s1, s2)` order of their pairs (the join walks
+/// both input atoms in their sorted order), so they are sorted once the
+/// pairs are numbered in that order.
+type Joined = Vec<(Sym, Mult)>;
+
 /// µ of one product symbol: the ⋊⋉ join over all atom pairs of the two
-/// input µ's, deduplicated.
-fn pair_mu(
-    ty1: &ConditionalTreeType,
-    ty2: &ConditionalTreeType,
-    s1: Sym,
-    s2: Sym,
-    pair_of: &PairTable,
-    scratch: &mut JoinScratch,
-) -> Disjunction {
-    let mut atoms: Vec<SAtom> = Vec::new();
+/// input µ's, over discovery ids (sorted and deduplicated once
+/// numbered).
+fn pair_mu(product: &mut Product<'_>, s1: Sym, s2: Sym, scratch: &mut JoinScratch) -> Vec<Joined> {
+    let (ty1, ty2) = (product.ty1, product.ty2);
+    let mut atoms: Vec<Joined> = Vec::new();
     for a1 in ty1.mu(s1).atoms() {
         for a2 in ty2.mu(s2).atoms() {
-            join_atoms(a1, a2, pair_of, scratch, &mut atoms);
+            join_atoms(a1, a2, product, scratch, &mut atoms);
         }
     }
-    atoms.sort_by(|x, y| x.entries().iter().cmp(y.entries().iter()));
-    atoms.dedup();
-    Disjunction(atoms)
+    atoms
 }
 
 /// The pre-interning structural intersection, preserved verbatim:
@@ -623,9 +752,9 @@ fn join_recurse<P: PairIj>(
 fn join_atoms(
     a1: &SAtom,
     a2: &SAtom,
-    pair_of: &PairTable,
+    product: &mut Product<'_>,
     scratch: &mut JoinScratch,
-    out: &mut Vec<SAtom>,
+    out: &mut Vec<Joined>,
 ) {
     let JoinScratch {
         pairs,
@@ -640,7 +769,7 @@ fn join_atoms(
     pairs.clear();
     for (i, &(c1, _)) in a1.entries().iter().enumerate() {
         for (j, &(c2, _)) in a2.entries().iter().enumerate() {
-            if let Some(p) = pair_of.get(c1, c2) {
+            if let Some(p) = product.probe(c1, c2) {
                 pairs.push((i, j, p));
             }
         }
@@ -718,7 +847,7 @@ fn join_atoms(
             let mandatory = designated[pi];
             entries.push((p, mult_from(mandatory, bounded)));
         }
-        out.push(SAtom::new(entries));
+        out.push(entries);
     };
     choice.clear();
     join_recurse(constraints, 0, pairs, choice, &mut emit);
@@ -876,13 +1005,15 @@ impl Refiner {
             let _span = OBS_INTERSECT_NS.time();
             intersect(&self.current, &tqa)?
         };
+        // Trim and minimize rebuild only when they change something;
+        // otherwise the product itself moves on.
         let trimmed = {
             let _span = OBS_TRIM_NS.time();
-            combined.trim()
+            keep_unless_changed(combined, IncompleteTree::trimmed)
         };
         self.current = {
             let _span = OBS_MINIMIZE_NS.time();
-            trimmed.minimize()
+            keep_unless_changed(trimmed, IncompleteTree::minimized)
         };
         self.steps += 1;
         OBS_STEPS.incr();
@@ -900,8 +1031,9 @@ impl Refiner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::type_intersect::restrict_to_type;
     use iixml_query::PsQueryBuilder;
-    use iixml_tree::NidGen;
+    use iixml_tree::{NidGen, TreeTypeBuilder};
     use iixml_values::{Cond, Rat};
 
     /// A tiny source: root(=0) with children a(=1), a(=5), b(=2).
@@ -1096,21 +1228,102 @@ mod tests {
         assert!(!refiner.current().contains(&other));
     }
 
+    /// The reference product cut down to the symbols its roots reach
+    /// through any atom entry, in their old order (the oracle crate's
+    /// `root_reachable`, which this crate cannot depend on).
+    fn root_reachable(it: &IncompleteTree) -> IncompleteTree {
+        let ty = it.ty();
+        let mut seen = vec![false; ty.sym_count()];
+        let mut stack: Vec<Sym> = ty.roots().to_vec();
+        stack.iter().for_each(|r| seen[r.ix()] = true);
+        while let Some(s) = stack.pop() {
+            for &(c, _) in ty.mu(s).atoms().iter().flat_map(SAtom::entries) {
+                if !std::mem::replace(&mut seen[c.ix()], true) {
+                    stack.push(c);
+                }
+            }
+        }
+        let mut out = ConditionalTreeType::new();
+        let mut number: Vec<Option<Sym>> = vec![None; ty.sym_count()];
+        for s in ty.syms().filter(|s| seen[s.ix()]) {
+            let info = ty.info(s);
+            number[s.ix()] =
+                Some(out.add_symbol(info.name.clone(), info.target, info.cond.clone()));
+        }
+        for s in ty.syms().filter(|s| seen[s.ix()]) {
+            let atoms = ty.mu(s).atoms().iter().map(|a| {
+                SAtom::new(
+                    a.entries()
+                        .iter()
+                        .map(|&(c, m)| (number[c.ix()].unwrap(), m))
+                        .collect(),
+                )
+            });
+            out.set_mu(number[s.ix()].unwrap(), Disjunction(atoms.collect()));
+        }
+        out.set_roots(ty.roots().iter().map(|r| number[r.ix()].unwrap()).collect());
+        IncompleteTree::new(it.nodes().clone(), out).unwrap()
+    }
+
     #[test]
     fn table_driven_intersect_matches_reference() {
-        // The dense pair table + scratch-arena join must produce a
-        // structurally identical tree to the preserved legacy path,
-        // symbol ids and µ atom order included.
+        // The root-driven product with its dense pair table and
+        // scratch-arena join is exactly the preserved legacy product
+        // restricted to its root-reachable symbols: symbol ids, names,
+        // µ atom order, roots and data nodes included. Checked on two
+        // `T_{q,A}`s and along a Refine chain whose steps include an
+        // empty answer and pairs the join probes but never emits; the
+        // restriction really removes symbols, and trim agrees too.
         let mut alpha = Alphabet::new();
         let t = source(&mut alpha);
         let q1 = q_a_lt(&mut alpha, 3);
         let q2 = q_a_lt(&mut alpha, 10);
-        let t1 = query_answer_tree(&q1, &q1.eval(&t), &alpha).unwrap();
-        let t2 = query_answer_tree(&q2, &q2.eval(&t), &alpha).unwrap();
-        let fast = intersect(&t1, &t2).unwrap();
-        let slow = intersect_reference(&t1, &t2).unwrap();
-        assert_eq!(format!("{:?}", fast.ty()), format!("{:?}", slow.ty()));
-        assert_eq!(fast.nodes(), slow.nodes());
+        let q3 = q_a_lt(&mut alpha, 0);
+        let q4 = {
+            let mut bld = PsQueryBuilder::new(&mut alpha, "root", Cond::True);
+            let root = bld.root();
+            bld.child(root, "b", Cond::gt(Rat::ZERO)).unwrap();
+            bld.build()
+        };
+        let tqa = |q: &PsQuery| query_answer_tree(q, &q.eval(&t), &alpha).unwrap();
+        let mut cases = vec![(tqa(&q1), tqa(&q2))];
+        let mut refiner = Refiner::new(&alpha);
+        for q in [&q1, &q3, &q4, &q2] {
+            cases.push((refiner.current().clone(), tqa(q)));
+            refiner.refine(&alpha, q, &q.eval(&t)).unwrap();
+        }
+        // Typed knowledge (`a → c d`) against an empty answer to
+        // `root/a{c, d[= 1]}`: the "c fails" disjunct of `τ̂_a` joins to
+        // nothing (`c` is mandatory), so the pair of `d` with `τ_d` it
+        // probes is compatible but never emitted.
+        let ty = TreeTypeBuilder::new(&mut alpha)
+            .root("root")
+            .rule("root", &[("a", Mult::Star)])
+            .rule("a", &[("c", Mult::One), ("d", Mult::One)])
+            .build()
+            .unwrap();
+        let q5 = {
+            let mut bld = PsQueryBuilder::new(&mut alpha, "root", Cond::True);
+            let a = bld.child(bld.root(), "a", Cond::True).unwrap();
+            bld.child(a, "c", Cond::True).unwrap();
+            bld.child(a, "d", Cond::eq(Rat::ONE)).unwrap();
+            bld.build()
+        };
+        let labels: Vec<Label> = alpha.labels().collect();
+        let names: Vec<&str> = labels.iter().map(|&l| alpha.name(l)).collect();
+        let typed = restrict_to_type(&IncompleteTree::universal(&labels, &names), &ty);
+        let empty = query_answer_tree(&q5, &Answer::empty(), &alpha).unwrap();
+        cases.push((typed, empty));
+        let mut removed = 0;
+        for (t1, t2) in &cases {
+            let fast = intersect(t1, t2).unwrap();
+            let full = intersect_reference(t1, t2).unwrap();
+            let slow = root_reachable(&full);
+            removed += full.ty().sym_count() - slow.ty().sym_count();
+            assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
+            assert_eq!(format!("{:?}", fast.trim()), format!("{:?}", full.trim()));
+        }
+        assert!(removed > 0, "no case had unreachable product symbols");
     }
 
     #[test]

@@ -52,6 +52,9 @@ pub const CORE_MINIMIZE_CALL_NS: &str = "core.minimize.call_ns";
 pub const CORE_MINIMIZE_SYMBOLS_MERGED: &str = "core.minimize.symbols_merged";
 /// Partition signatures served from the intern table.
 pub const CORE_MINIMIZE_INTERNED_SIGS: &str = "core.minimize.interned_sigs";
+/// Minimize calls that returned their input unchanged (no merge, no
+/// rebuild).
+pub const CORE_MINIMIZE_UNCHANGED: &str = "core.minimize.unchanged";
 
 // ---------------------------------------------------------------------
 // query — pattern evaluation.
@@ -185,6 +188,7 @@ pub const COUNTERS: &[&str] = &[
     CORE_TYPE_INTERSECT_CONTRADICTIONS,
     CORE_MINIMIZE_SYMBOLS_MERGED,
     CORE_MINIMIZE_INTERNED_SIGS,
+    CORE_MINIMIZE_UNCHANGED,
     CORE_INTERN_ATOMS,
     CORE_INTERN_DISJS,
     QUERY_EVAL_CALLS,

@@ -15,9 +15,12 @@
 //!   perturb a value, duplicate a subtree, relabel) used to probe
 //!   membership predicates from both sides;
 //! * reference implementations of possible/certain prefix and query
-//!   answering over an explicit world list.
+//!   answering over an explicit world list;
+//! * [`root_reachable`] — an incomplete tree cut down to the symbols its
+//!   roots reach, the shape `refine::intersect` returns next to the full
+//!   product of `refine::intersect_reference`.
 
-use iixml_core::{IncompleteTree, Sym, SymTarget};
+use iixml_core::{ConditionalTreeType, Disjunction, IncompleteTree, SAtom, Sym, SymTarget};
 use iixml_obs::{keys, LazyCounter, LazyHistogram};
 use iixml_query::PsQuery;
 use iixml_tree::{is_prefix_of, DataTree, Nid, NodeRef};
@@ -596,6 +599,54 @@ pub fn log2_sized_worlds(it: &IncompleteTree, lo: i64, hi: i64, max_nodes: usize
         }
     }
     total
+}
+
+/// `it` restricted to the symbols reachable from its roots through any
+/// atom entry (productive or not), kept in their old relative order;
+/// data nodes are left as they are.
+pub fn root_reachable(it: &IncompleteTree) -> IncompleteTree {
+    let ty = it.ty();
+    let mut seen = vec![false; ty.sym_count()];
+    let mut stack: Vec<Sym> = Vec::new();
+    for &r in ty.roots() {
+        if !std::mem::replace(&mut seen[r.ix()], true) {
+            stack.push(r);
+        }
+    }
+    while let Some(s) = stack.pop() {
+        for atom in ty.mu(s).atoms() {
+            for &(c, _) in atom.entries() {
+                if !std::mem::replace(&mut seen[c.ix()], true) {
+                    stack.push(c);
+                }
+            }
+        }
+    }
+    let mut out = ConditionalTreeType::new();
+    let mut number: Vec<Option<Sym>> = vec![None; ty.sym_count()];
+    for s in ty.syms().filter(|s| seen[s.ix()]) {
+        let info = ty.info(s);
+        number[s.ix()] = Some(out.add_symbol(info.name.clone(), info.target, info.cond.clone()));
+    }
+    for s in ty.syms() {
+        let Some(ns) = number[s.ix()] else { continue };
+        let atoms = ty
+            .mu(s)
+            .atoms()
+            .iter()
+            .map(|a| {
+                SAtom::new(
+                    a.entries()
+                        .iter()
+                        .filter_map(|&(c, m)| Some((number[c.ix()]?, m)))
+                        .collect(),
+                )
+            })
+            .collect();
+        out.set_mu(ns, Disjunction(atoms));
+    }
+    out.set_roots(ty.roots().iter().filter_map(|r| number[r.ix()]).collect());
+    IncompleteTree::new(it.nodes().clone(), out).expect("the data nodes are unchanged")
 }
 
 /// Reference possible-prefix: scan the world list.

@@ -33,6 +33,9 @@ fn refine_pipeline_emits_expected_metrics() {
 
     // A mediated session: the mediator's decomposed local queries drive
     // the ⋊⋉ join into genuine multi-way fan-out.
+    let unchanged_before = iixml_obs::snapshot()
+        .counter(keys::CORE_MINIMIZE_UNCHANGED)
+        .unwrap_or(0);
     let mut cat = iixml_gen::catalog(4, 42);
     let q_view = iixml_gen::catalog_query_price_below(&mut cat.alpha, 250);
     let q_cam = iixml_gen::catalog_query_camera_pictures(&mut cat.alpha);
@@ -90,6 +93,13 @@ fn refine_pipeline_emits_expected_metrics() {
             .unwrap_or(0)
             >= 1,
         "the mediated chain must trigger disjunctive expansion"
+    );
+    // The catalog chain's steps merge nothing, so minimize hands the
+    // product back unchanged instead of rebuilding it.
+    let unchanged = snap.counter(keys::CORE_MINIMIZE_UNCHANGED).unwrap_or(0);
+    assert!(
+        unchanged > unchanged_before,
+        "the catalog chain never kept its product unchanged"
     );
     // Every registered core-pipeline histogram this scenario drives.
     for key in [
