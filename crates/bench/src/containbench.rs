@@ -154,8 +154,8 @@ pub fn run(quick: bool) -> ContainReport {
     let bytes_identical = t_on == t_off;
 
     // Overhead probe: a populated cache answering a narrower query
-    // (the expensive path: signature match + full descent + replay
-    // eval) vs a cold session's end-to-end source fetch of it.
+    // (the expensive path: full descent + replay eval) vs a cold
+    // session's end-to-end source fetch of it.
     let wide = catalog_query_price_below(&mut cat.alpha, 450);
     let narrow = catalog_query_price_below(&mut cat.alpha, 200);
     let wide_ans = {

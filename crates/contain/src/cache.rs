@@ -8,13 +8,13 @@
 //! node ids, same sibling order, same provenance — see the crate
 //! docs), so callers can skip the source round-trip entirely.
 //!
-//! Lookups are pruned by skeleton signature before the exact descent
-//! runs. The cache is *sound by construction*: a miss merely costs the
+//! Each entry costs one forced-embedding descent; a scan shares one
+//! work stack across its entries, so it allocates nothing per entry.
+//! The cache is *sound by construction*: a miss merely costs the
 //! normal fetch, and a hit feeds downstream refinement input identical
 //! to what the source would have produced.
 
-use crate::sig::Signer;
-use crate::{canon, contained_in};
+use crate::{canon, descend, Mismatch};
 use iixml_query::{Answer, PsQuery};
 use iixml_tree::DataTree;
 
@@ -24,7 +24,6 @@ const MAX_ENTRIES: usize = 64;
 
 struct Entry {
     query: PsQuery,
-    skeleton: u32,
     /// The exact answer tree of `query` at the source (`None` = the
     /// empty answer). Preserves the source's sibling order, which
     /// downstream refinement is sensitive to.
@@ -34,7 +33,6 @@ struct Entry {
 /// A cache of exactly-answered queries, keyed by containment.
 #[derive(Default)]
 pub struct AnswerCache {
-    signer: Signer,
     entries: Vec<Entry>,
     checks: u64,
     hits: u64,
@@ -44,13 +42,7 @@ pub struct AnswerCache {
 impl AnswerCache {
     /// A fresh, empty cache.
     pub fn new() -> AnswerCache {
-        AnswerCache {
-            signer: Signer::new(),
-            entries: Vec::new(),
-            checks: 0,
-            hits: 0,
-            fast_rejects: 0,
-        }
+        AnswerCache::default()
     }
 
     /// Tries to answer `q` from recorded knowledge. `Some(answer)` is
@@ -64,20 +56,18 @@ impl AnswerCache {
             self.hits += 1;
             return Some(Answer::empty());
         }
-        let skeleton = self.signer.sign(q).skeleton;
+        let mut work = Vec::new();
         for e in &self.entries {
-            if e.skeleton != skeleton {
-                // Differing skeletons can never contain a satisfiable
-                // query: exact reject without the descent.
-                self.fast_rejects += 1;
-                continue;
-            }
-            if contained_in(q, &e.query).is_contained() {
-                self.hits += 1;
-                return Some(match &e.answer {
-                    Some(t) => q.eval(t),
-                    None => Answer::empty(),
-                });
+            match descend(q, &e.query, &mut work, None) {
+                Ok(()) => {
+                    self.hits += 1;
+                    return Some(match &e.answer {
+                        Some(t) => q.eval(t),
+                        None => Answer::empty(),
+                    });
+                }
+                Err(Mismatch::Skeleton) => self.fast_rejects += 1,
+                Err(_) => {}
             }
         }
         None
@@ -90,22 +80,23 @@ impl AnswerCache {
         if canon::is_unsatisfiable(q) {
             return;
         }
+        let mut work = Vec::new();
         if self
             .entries
             .iter()
-            .any(|e| contained_in(q, &e.query).is_contained())
+            .any(|e| descend(q, &e.query, &mut work, None).is_ok())
         {
             return;
         }
+        // Recorded queries are satisfiable, so the bare descent decides
+        // `e ⊑ q` too.
         self.entries
-            .retain(|e| !contained_in(&e.query, q).is_contained());
+            .retain(|e| descend(&e.query, q, &mut work, None).is_err());
         if self.entries.len() >= MAX_ENTRIES {
             self.entries.remove(0);
         }
-        let skeleton = self.signer.sign(q).skeleton;
         self.entries.push(Entry {
             query: q.clone(),
-            skeleton,
             answer: ans.tree.clone(),
         });
     }
@@ -136,7 +127,8 @@ impl AnswerCache {
         self.hits
     }
 
-    /// Candidate entries skipped on skeleton signature alone.
+    /// Entries a lookup's descent rejected with
+    /// [`Mismatch::Skeleton`]: the label skeletons differ.
     pub fn fast_rejects(&self) -> u64 {
         self.fast_rejects
     }
@@ -220,8 +212,8 @@ mod tests {
         cache.record(&narrow, &narrow.eval(&t));
         assert!(cache.lookup(&wide).is_none(), "wider query must miss");
         assert!(cache.lookup(&other).is_none(), "other skeleton must miss");
-        // The skeleton-differing lookup was pruned without a descent.
-        assert!(cache.fast_rejects() >= 1);
+        // Only the skeleton-differing lookup counts as a skeleton reject.
+        assert_eq!(cache.fast_rejects(), 1);
     }
 
     #[test]

@@ -1,12 +1,7 @@
-//! Canonicalization of ps-queries for containment checking.
-//!
-//! A ps-query's *canonical form* is its label-sorted traversal: the
-//! same pattern built in any child order yields the same canonical
-//! order, interval-normalized conditions (`cond_set`, already
-//! maintained by the builder) and the same barred-leaf placement. The
-//! signature pass ([`crate::sig`]) and the containment descent both
-//! consume queries through this module, so structurally equal queries
-//! are indistinguishable to them regardless of construction order.
+//! The two query facts the containment descent reads beyond the
+//! builder's own normal form (interval-normalized conditions, unique
+//! sibling labels, leaf-only bars): whether a query is unsatisfiable,
+//! and which child of a node carries a given label.
 
 use iixml_query::{PsQuery, QNodeRef};
 use iixml_tree::Label;
@@ -22,33 +17,9 @@ pub fn is_unsatisfiable(q: &PsQuery) -> bool {
     q.preorder().iter().any(|&m| q.cond_set(m).is_empty())
 }
 
-/// The children of `m` in canonical (ascending label id) order.
-///
-/// Sibling labels are unique, so this order is strict and total.
-pub fn sorted_children(q: &PsQuery, m: QNodeRef) -> Vec<QNodeRef> {
-    let mut kids = q.children(m).to_vec();
-    kids.sort_by_key(|&c| q.label(c).0);
-    kids
-}
-
 /// Looks up the unique child of `m` carrying label `l`, if any.
 pub fn child_by_label(q: &PsQuery, m: QNodeRef, l: Label) -> Option<QNodeRef> {
     q.children(m).iter().copied().find(|&c| q.label(c) == l)
-}
-
-/// All pattern nodes in canonical order: preorder with children
-/// visited label-ascending. Two queries with equal skeletons visit
-/// corresponding nodes at the same positions.
-pub fn canonical_order(q: &PsQuery) -> Vec<QNodeRef> {
-    let mut out = Vec::with_capacity(q.len());
-    let mut stack = vec![q.root()];
-    while let Some(m) = stack.pop() {
-        out.push(m);
-        let mut kids = sorted_children(q, m);
-        kids.reverse();
-        stack.append(&mut kids);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -56,20 +27,6 @@ mod tests {
     use super::*;
     use iixml_query::parse_ps_query;
     use iixml_tree::Alphabet;
-
-    #[test]
-    fn canonical_order_ignores_construction_order() {
-        let mut alpha = Alphabet::new();
-        // Intern in a fixed order first so both spellings share ids.
-        for n in ["catalog", "product", "name", "price", "cat"] {
-            alpha.intern(n);
-        }
-        let a = parse_ps_query("catalog/product{name, price, cat}", &mut alpha).unwrap();
-        let b = parse_ps_query("catalog/product{cat, price, name}", &mut alpha).unwrap();
-        let la: Vec<_> = canonical_order(&a).iter().map(|&m| a.label(m)).collect();
-        let lb: Vec<_> = canonical_order(&b).iter().map(|&m| b.label(m)).collect();
-        assert_eq!(la, lb);
-    }
 
     #[test]
     fn unsatisfiable_detection() {

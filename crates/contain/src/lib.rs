@@ -30,19 +30,17 @@
 //! every document and is therefore contained in everything
 //! ([`Verdict::ContainedEmpty`]).
 //!
-//! The exact check is guarded by a sound-but-incomplete fast path:
-//! hash-consed skeleton signatures ([`sig::Signer`]) prune candidate
-//! pairs whose label skeletons differ with one `u32` compare.
+//! One descent decides every check. [`contained_in`] runs it with a
+//! witness sink for the CLI and the tests; [`AnswerCache`] runs it
+//! without one, so a cache scan allocates nothing per entry.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod canon;
-pub mod sig;
 
 pub use cache::AnswerCache;
-pub use sig::{QuerySig, Signer};
 
 use iixml_query::{PsQuery, QNodeRef};
 
@@ -102,17 +100,39 @@ pub fn contained_in(sub: &PsQuery, sup: &PsQuery) -> Verdict {
     if canon::is_unsatisfiable(sub) {
         return Verdict::ContainedEmpty;
     }
-    let mut map: Vec<(QNodeRef, QNodeRef)> = Vec::with_capacity(sub.len());
-    let mut work = vec![(sub.root(), sup.root())];
+    let mut witness = Vec::with_capacity(sub.len());
+    match descend(sub, sup, &mut Vec::new(), Some(&mut witness)) {
+        Ok(()) => {
+            witness.sort_by_key(|&(m, _)| m.0);
+            Verdict::Contained(witness)
+        }
+        Err(why) => Verdict::NotContained(why),
+    }
+}
+
+/// The forced-embedding descent behind [`contained_in`], for a `sub`
+/// the caller already knows to be satisfiable. Visits mapped pairs
+/// depth-first, children last-first, and reports the first mismatch;
+/// on success every pair `(m, e(m))` has been pushed onto `witness`
+/// (in visit order) when a sink is given. `work` is scratch space the
+/// caller may reuse across calls.
+pub(crate) fn descend(
+    sub: &PsQuery,
+    sup: &PsQuery,
+    work: &mut Vec<(QNodeRef, QNodeRef)>,
+    mut witness: Option<&mut Vec<(QNodeRef, QNodeRef)>>,
+) -> Result<(), Mismatch> {
+    work.clear();
+    work.push((sub.root(), sup.root()));
     while let Some((m, w)) = work.pop() {
         if sub.label(m) != sup.label(w) {
-            return Verdict::NotContained(Mismatch::Skeleton);
+            return Err(Mismatch::Skeleton);
         }
         if !sub.cond_set(m).implies(sup.cond_set(w)) {
-            return Verdict::NotContained(Mismatch::Condition { sub: m, sup: w });
+            return Err(Mismatch::Condition { sub: m, sup: w });
         }
         if sub.barred(m) && !sup.barred(w) {
-            return Verdict::NotContained(Mismatch::Bar { sub: m, sup: w });
+            return Err(Mismatch::Bar { sub: m, sup: w });
         }
         // The skeletons must agree exactly: an extra `sup` child makes
         // `sup` stricter (its answer can be empty where `sub`'s is
@@ -121,18 +141,19 @@ pub fn contained_in(sub: &PsQuery, sup: &PsQuery) -> Verdict {
         // so equal counts + every `sub` child label present makes the
         // pairing a bijection.
         if sub.children(m).len() != sup.children(w).len() {
-            return Verdict::NotContained(Mismatch::Skeleton);
+            return Err(Mismatch::Skeleton);
         }
         for &mc in sub.children(m) {
             match canon::child_by_label(sup, w, sub.label(mc)) {
                 Some(wc) => work.push((mc, wc)),
-                None => return Verdict::NotContained(Mismatch::Skeleton),
+                None => return Err(Mismatch::Skeleton),
             }
         }
-        map.push((m, w));
+        if let Some(map) = &mut witness {
+            map.push((m, w));
+        }
     }
-    map.sort_by_key(|&(m, _)| m.0);
-    Verdict::Contained(map)
+    Ok(())
 }
 
 #[cfg(test)]

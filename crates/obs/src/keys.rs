@@ -91,7 +91,8 @@ pub const MEDIATOR_SHIPPED_NODES: &str = "mediator.shipped_nodes";
 pub const MEDIATOR_CONTAINMENT_CHECKS: &str = "mediator.containment_checks";
 /// Containment-cache lookups answered from recorded knowledge.
 pub const MEDIATOR_CONTAINMENT_HITS: &str = "mediator.containment_hits";
-/// Candidate cache entries pruned on skeleton signature alone.
+/// Cache entries a containment lookup rejected because the label
+/// skeletons differ (the descent's `Skeleton` mismatch).
 pub const MEDIATOR_CONTAINMENT_FAST_REJECTS: &str = "mediator.containment_fast_rejects";
 
 // ---------------------------------------------------------------------
@@ -272,13 +273,6 @@ pub const ENV_PAR_THREADS: &str = "IIXML_PAR_THREADS";
 pub const ENV_TEST_SEED: &str = "IIXML_TEST_SEED";
 /// Cases per property in the in-tree property-test harness.
 pub const ENV_PROPTEST_CASES: &str = "IIXML_PROPTEST_CASES";
-/// Group-commit flush threshold: buffered WAL bytes.
-pub const ENV_STORE_BATCH_BYTES: &str = "IIXML_STORE_BATCH_BYTES";
-/// Group-commit flush threshold: buffered records.
-pub const ENV_STORE_BATCH_RECS: &str = "IIXML_STORE_BATCH_RECS";
-/// Group-commit flush threshold: logical-clock ticks a record may
-/// linger unflushed (one tick per append).
-pub const ENV_STORE_LINGER: &str = "IIXML_STORE_LINGER";
 /// TCP port `iixml serve` binds (0 = ephemeral).
 pub const ENV_SERVE_PORT: &str = "IIXML_SERVE_PORT";
 /// Session-map shard count for `iixml serve`.
@@ -312,18 +306,6 @@ pub const ENV_VARS: &[(&str, &str)] = &[
     (ENV_PAR_THREADS, "worker width for parallel maps"),
     (ENV_TEST_SEED, "base seed for deterministic tests"),
     (ENV_PROPTEST_CASES, "cases per property test"),
-    (
-        ENV_STORE_BATCH_BYTES,
-        "group-commit flush threshold in bytes",
-    ),
-    (
-        ENV_STORE_BATCH_RECS,
-        "group-commit flush threshold in records",
-    ),
-    (
-        ENV_STORE_LINGER,
-        "max linger ticks before a group-commit flush",
-    ),
     (ENV_SERVE_PORT, "TCP port for iixml serve (0 = ephemeral)"),
     (ENV_SERVE_SHARDS, "session-map shard count"),
     (ENV_SERVE_MAX_SESSIONS, "per-tenant open-session cap"),

@@ -20,6 +20,9 @@
 //! ```
 //!
 //! `picture!` marks a barred node (whole-subtree extraction).
+//!
+//! A query may nest at most [`MAX_QUERY_DEPTH`] levels; deeper input is
+//! refused before the parser recurses into it.
 
 use crate::pattern::{PsQuery, PsQueryBuilder, QNodeRef};
 use iixml_tree::Alphabet;
@@ -43,6 +46,11 @@ impl fmt::Display for QueryParseError {
 }
 
 impl std::error::Error for QueryParseError {}
+
+/// The deepest nesting [`parse_ps_query`] accepts (the root is level 1).
+/// The parser recurses once per level, so this bounds its stack use on
+/// outside input.
+pub const MAX_QUERY_DEPTH: usize = 256;
 
 struct Parser<'a> {
     input: &'a str,
@@ -116,16 +124,19 @@ impl<'a> Parser<'a> {
         Ok((barred, cond))
     }
 
+    /// Parses the children of `parent`, which sits at nesting level
+    /// `depth`.
     fn parse_children(
         &mut self,
         b: &mut PsQueryBuilder,
         parent: QNodeRef,
+        depth: usize,
     ) -> Result<(), QueryParseError> {
         if self.eat("/") {
-            self.parse_node(b, parent)
+            self.parse_node(b, parent, depth + 1)
         } else if self.eat("{") {
             loop {
-                self.parse_node(b, parent)?;
+                self.parse_node(b, parent, depth + 1)?;
                 if self.eat(",") {
                     continue;
                 }
@@ -139,11 +150,16 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses one node, at nesting level `depth`, under `parent`.
     fn parse_node(
         &mut self,
         b: &mut PsQueryBuilder,
         parent: QNodeRef,
+        depth: usize,
     ) -> Result<(), QueryParseError> {
+        if depth > MAX_QUERY_DEPTH {
+            return Err(self.err(format!("query nests deeper than {MAX_QUERY_DEPTH} levels")));
+        }
         let name = self.parse_name()?.to_string();
         let (barred, cond) = self.parse_adornments()?;
         let node = if barred {
@@ -160,7 +176,7 @@ impl<'a> Parser<'a> {
             }
             return Ok(());
         }
-        self.parse_children(b, node)
+        self.parse_children(b, node, depth)
     }
 }
 
@@ -186,7 +202,7 @@ pub fn parse_ps_query(input: &str, alpha: &mut Alphabet) -> Result<PsQuery, Quer
     }
     let mut b = PsQueryBuilder::new(alpha, &name, cond);
     let root = b.root();
-    p.parse_children(&mut b, root)?;
+    p.parse_children(&mut b, root, 1)?;
     p.skip_ws();
     if !p.rest().is_empty() {
         return Err(p.err("trailing input"));
@@ -291,6 +307,22 @@ mod tests {
             "duplicate sibling"
         );
         assert!(parse_ps_query("r/a extra", &mut a).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let mut alpha = Alphabet::new();
+        let deep = |levels: usize| format!("r{}", "/a".repeat(levels - 1));
+        let q = parse_ps_query(&deep(MAX_QUERY_DEPTH), &mut alpha).unwrap();
+        assert_eq!(q.len(), MAX_QUERY_DEPTH);
+        let err = parse_ps_query(&deep(MAX_QUERY_DEPTH + 1), &mut alpha).unwrap_err();
+        assert!(err.message.contains("deeper than"), "{err}");
+        // Braces nest the same way: `r{a, b{a, b{...}}}`.
+        let braced =
+            |levels: usize| format!("r{}{}", "{a, b".repeat(levels - 1), "}".repeat(levels - 1));
+        assert!(parse_ps_query(&braced(MAX_QUERY_DEPTH), &mut alpha).is_ok());
+        let err = parse_ps_query(&braced(MAX_QUERY_DEPTH + 1), &mut alpha).unwrap_err();
+        assert!(err.message.contains("deeper than"), "{err}");
     }
 
     #[test]

@@ -70,10 +70,10 @@ impl SessionJournal {
     pub const DEFAULT_SNAPSHOT_EVERY: u64 = 32;
 
     /// Creates a fresh journal in `dir` (which must not already hold
-    /// one). The flush policy comes from the environment knobs
-    /// ([`FlushPolicy::from_env`]); the default is durable-every-record.
-    /// The I/O backend also comes from the environment
-    /// ([`StoreIo::from_env`], real unless a fault knob is set).
+    /// one), durable every record ([`FlushPolicy::default`]; see
+    /// [`SessionJournal::set_flush_policy`]). The I/O backend comes
+    /// from the environment ([`StoreIo::from_env`], real unless a fault
+    /// knob is set).
     pub fn create(dir: &Path) -> Result<SessionJournal, StoreError> {
         SessionJournal::create_with_io(dir, StoreIo::from_env())
     }
@@ -81,7 +81,7 @@ impl SessionJournal {
     /// [`SessionJournal::create`] through an explicit I/O backend (tests
     /// and chaos harnesses inject faults here).
     pub fn create_with_io(dir: &Path, io: StoreIo) -> Result<SessionJournal, StoreError> {
-        let writer = GroupCommit::new(Wal::create_with(dir, io)?, FlushPolicy::from_env());
+        let writer = GroupCommit::new(Wal::create_with(dir, io)?, FlushPolicy::default());
         Ok(SessionJournal {
             dir: dir.to_path_buf(),
             writer,
@@ -372,8 +372,7 @@ pub enum RecoveryStatus {
 pub struct Recovered {
     /// The journal, reopened for appends after the replayed prefix.
     /// `None` when the log itself is beyond continuation (state came
-    /// from a snapshot alone) — see `Session::recover` for the rebase
-    /// path.
+    /// from a snapshot alone) — [`Recovered::rebase`] starts a new one.
     pub journal: Option<SessionJournal>,
     /// The frozen alphabet from the `Open` record (or the snapshot, in
     /// the snapshot-only fallback).
@@ -397,6 +396,54 @@ pub struct Recovered {
     pub torn_tail: bool,
     /// Clean, or degraded with a drop count.
     pub status: RecoveryStatus,
+}
+
+impl Recovered {
+    /// Rebases a journal recovery could not continue (`journal: None`,
+    /// the state came from the snapshot `from_snapshot` alone) onto a
+    /// fresh log in `dir`, through `io`. The new log opens with
+    /// `initial` and an immediate snapshot of the recovered state. No
+    /// op when the journal was continued.
+    ///
+    /// The order keeps the recovered state on disk at every step, so a
+    /// crash or an I/O fault anywhere recovers to it again:
+    ///
+    /// 1. remove the dead segments, and every snapshot except the one
+    ///    the state came from (none of them holds that state);
+    /// 2. create the new log, with its `Open` record and its snapshot;
+    /// 3. only then remove the source snapshot.
+    pub fn rebase(
+        &mut self,
+        dir: &Path,
+        io: StoreIo,
+        initial: &IncompleteTree,
+    ) -> Result<(), StoreError> {
+        if self.journal.is_some() {
+            return Ok(());
+        }
+        let source = self
+            .from_snapshot
+            .map(|seq| dir.join(Snapshot::file_name(seq)));
+        for (_, path) in Wal::segments(dir)? {
+            io.remove_file(&path)?;
+        }
+        for (_, path) in snapshot::list(dir)? {
+            if Some(&path) != source.as_ref() {
+                io.remove_file(&path)?;
+            }
+        }
+        io.dir_sync(dir)?;
+        let mut journal = SessionJournal::create_with_io(dir, io)?;
+        journal.log_open(&self.alpha, initial)?;
+        journal.snapshot_now(&self.alpha, self.refiner.current())?;
+        let fresh = dir.join(Snapshot::file_name(journal.last_snapshot_seq));
+        if let Some(path) = source.filter(|path| *path != fresh) {
+            journal.io().remove_file(&path)?;
+            journal.io().dir_sync(dir)?;
+        }
+        self.journal = Some(journal);
+        Ok(())
+    }
 }
 
 /// Recovers the journal in `dir`: verifies checksums, truncates a torn
@@ -628,7 +675,7 @@ pub fn recover_with_io(
                     }
                 }
                 let writer =
-                    GroupCommit::new(Wal::open_append_with(dir, io)?, FlushPolicy::from_env());
+                    GroupCommit::new(Wal::open_append_with(dir, io)?, FlushPolicy::default());
                 let journal = SessionJournal {
                     dir: dir.to_path_buf(),
                     writer,
@@ -793,7 +840,7 @@ pub fn recover_with_io(
     }
 
     // Reopen for appends after the surviving prefix.
-    let writer = GroupCommit::new(Wal::open_append_with(dir, io)?, FlushPolicy::from_env());
+    let writer = GroupCommit::new(Wal::open_append_with(dir, io)?, FlushPolicy::default());
     let journal = SessionJournal {
         dir: dir.to_path_buf(),
         writer,

@@ -325,26 +325,6 @@ impl FlushPolicy {
             max_linger_ticks: 64,
         }
     }
-
-    /// The default policy overridden by the `IIXML_STORE_BATCH_BYTES`,
-    /// `IIXML_STORE_BATCH_RECS` and `IIXML_STORE_LINGER` environment
-    /// knobs (unset or unparsable values keep the default).
-    pub fn from_env() -> FlushPolicy {
-        fn read(key: &str) -> Option<u64> {
-            std::env::var(key).ok().and_then(|v| v.trim().parse().ok())
-        }
-        let mut policy = FlushPolicy::default();
-        if let Some(v) = read(keys::ENV_STORE_BATCH_BYTES) {
-            policy.max_batch_bytes = v.max(1);
-        }
-        if let Some(v) = read(keys::ENV_STORE_BATCH_RECS) {
-            policy.max_batch_records = v.max(1);
-        }
-        if let Some(v) = read(keys::ENV_STORE_LINGER) {
-            policy.max_linger_ticks = v;
-        }
-        policy
-    }
 }
 
 /// A group-commit writer over a [`Wal`]: appends buffer encoded frames

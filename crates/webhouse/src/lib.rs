@@ -88,7 +88,7 @@ static OBS_SHIPPED: LazyCounter = LazyCounter::new(keys::MEDIATOR_SHIPPED_NODES)
 static OBS_CONTAIN_CHECKS: LazyCounter = LazyCounter::new(keys::MEDIATOR_CONTAINMENT_CHECKS);
 /// Containment-cache lookups answered from recorded knowledge.
 static OBS_CONTAIN_HITS: LazyCounter = LazyCounter::new(keys::MEDIATOR_CONTAINMENT_HITS);
-/// Cache candidates pruned on skeleton signature alone.
+/// Cache entries a lookup rejected because the label skeletons differ.
 static OBS_CONTAIN_FAST_REJECTS: LazyCounter =
     LazyCounter::new(keys::MEDIATOR_CONTAINMENT_FAST_REJECTS);
 
@@ -218,11 +218,7 @@ impl<E: SourceEndpoint> Session<E> {
     /// Opens a session on a source. The source's declared type (if any)
     /// is folded into the initial knowledge (Theorem 3.5).
     pub fn open(alpha: Alphabet, source: E) -> Session<E> {
-        let mut refiner = Refiner::new(&alpha);
-        if let Some(ty) = source.declared_type() {
-            let restricted = iixml_core::type_intersect::restrict_to_type(refiner.current(), ty);
-            refiner = Refiner::from_tree(restricted);
-        }
+        let refiner = initial_knowledge(&alpha, &source);
         Session {
             alpha,
             source,
@@ -283,8 +279,28 @@ impl<E: SourceEndpoint> Session<E> {
     /// `source` is the fresh endpoint for the same document (live
     /// connections do not survive a crash).
     pub fn recover(dir: &Path, source: E) -> Result<(Session<E>, RecoveryReport), WebhouseError> {
-        let rec = iixml_store::recover(dir, RecoveryMode::Degrade)?;
-        let mut report = RecoveryReport {
+        Session::recover_with_io(dir, source, iixml_store::StoreIo::from_env())
+    }
+
+    /// [`Session::recover`] through an explicit store I/O backend for
+    /// every write recovery makes: the reopened journal, or the rebase.
+    pub fn recover_with_io(
+        dir: &Path,
+        source: E,
+        io: iixml_store::StoreIo,
+    ) -> Result<(Session<E>, RecoveryReport), WebhouseError> {
+        let mut rec =
+            iixml_store::journal::recover_with_io(dir, RecoveryMode::Degrade, io.clone())?;
+        let rebased = rec.journal.is_none();
+        if rebased {
+            // The log's head is gone; the state came from a snapshot
+            // alone. Rebase onto a fresh log whose open record carries
+            // the true declared-type initial, so future quarantine
+            // records replay correctly.
+            let initial = initial_knowledge(&rec.alpha, &source);
+            rec.rebase(dir, io, initial.current())?;
+        }
+        let report = RecoveryReport {
             status: rec.status,
             replayed: rec.replayed,
             refines: rec.refines,
@@ -292,9 +308,9 @@ impl<E: SourceEndpoint> Session<E> {
             source_updates: rec.source_updates,
             torn_tail: rec.torn_tail,
             from_snapshot: rec.from_snapshot,
-            rebased: false,
+            rebased,
         };
-        let mut session = Session {
+        let session = Session {
             alpha: rec.alpha,
             source,
             refiner: rec.refiner,
@@ -305,35 +321,13 @@ impl<E: SourceEndpoint> Session<E> {
             mediator_queries: 0,
             quarantines: rec.quarantines,
             obs_label: "anon".to_string(),
-            journal: None,
+            journal: rec.journal,
             journal_fault: None,
             // Recovery starts with a cold cache: answers are not
             // journaled, and a miss is always sound.
             contain_cache: iixml_contain::AnswerCache::new(),
             contain_enabled: contain_cache_enabled_from_env(),
         };
-        match rec.journal {
-            Some(journal) => session.journal = Some(journal),
-            None => {
-                // The log's head is gone; the state came from a snapshot
-                // alone. Rebase: wipe the dead log and seed a fresh one
-                // with an open record (true declared-type initial, so
-                // future quarantine records replay correctly) plus an
-                // immediate snapshot of the recovered state.
-                report.rebased = true;
-                wipe_journal_dir(dir)?;
-                let mut initial = Refiner::new(&session.alpha);
-                if let Some(ty) = session.source.declared_type() {
-                    let restricted =
-                        iixml_core::type_intersect::restrict_to_type(initial.current(), ty);
-                    initial = Refiner::from_tree(restricted);
-                }
-                let mut journal = SessionJournal::create(dir)?;
-                journal.log_open(&session.alpha, initial.current())?;
-                journal.snapshot_now(&session.alpha, session.refiner.current())?;
-                session.journal = Some(journal);
-            }
-        }
         Ok((session, report))
     }
 
@@ -430,7 +424,8 @@ impl<E: SourceEndpoint> Session<E> {
         self.contain_cache.hits()
     }
 
-    /// Cache candidates pruned on skeleton signature alone.
+    /// Cache entries a lookup rejected because the label skeletons
+    /// differ.
     pub fn containment_fast_rejects(&self) -> u64 {
         self.contain_cache.fast_rejects()
     }
@@ -763,13 +758,7 @@ impl<E: SourceEndpoint> Session<E> {
     /// (shared by quarantine and source update, which journal different
     /// records).
     fn reset_knowledge(&mut self) {
-        let ty = self.source.declared_type().cloned();
-        let mut refiner = Refiner::new(&self.alpha);
-        if let Some(ty) = &ty {
-            let restricted = iixml_core::type_intersect::restrict_to_type(refiner.current(), ty);
-            refiner = Refiner::from_tree(restricted);
-        }
-        self.refiner = refiner;
+        self.refiner = initial_knowledge(&self.alpha, &self.source);
         self.answered_locally = 0;
         self.mediator_queries = 0;
         // Cache invalidation rule (DESIGN.md §15): recorded answers
@@ -787,22 +776,18 @@ impl Session<Source> {
     }
 }
 
-/// Removes journal segments and snapshots from `dir` (the rebase path:
-/// the log was beyond continuation and is being reseeded).
-fn wipe_journal_dir(dir: &Path) -> Result<(), StoreError> {
-    let entries = std::fs::read_dir(dir).map_err(|e| StoreError::io(dir, e))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| StoreError::io(dir, e))?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if (name.starts_with("seg-") && name.ends_with(".wal"))
-            || (name.starts_with("snap-") && (name.ends_with(".snap") || name.ends_with(".tmp")))
-        {
-            let path = entry.path();
-            std::fs::remove_file(&path).map_err(|e| StoreError::io(&path, e))?;
-        }
+/// The knowledge a session starts from: the source's declared type (if
+/// any) folded into the empty knowledge (Theorem 3.5). Open, reset and
+/// rebase all start here.
+fn initial_knowledge<E: SourceEndpoint>(alpha: &Alphabet, source: &E) -> Refiner {
+    let empty = Refiner::new(alpha);
+    match source.declared_type() {
+        Some(ty) => Refiner::from_tree(iixml_core::type_intersect::restrict_to_type(
+            empty.current(),
+            ty,
+        )),
+        None => empty,
     }
-    Ok(())
 }
 
 impl<E: SourceEndpoint> fmt::Debug for Session<E> {

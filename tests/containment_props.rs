@@ -7,13 +7,16 @@
 //!   tree reproduces the subsumed query's source answer byte-for-byte
 //!   (same node ids, sibling order, and provenance), and on the
 //!   price-bound family the verdict matches the arithmetic truth
-//!   exactly (the check is complete there, not just sound).
+//!   exactly (the check is complete there, not just sound). A
+//!   one-entry answer cache hits exactly when the verdict says
+//!   contained, and counts exactly the `Skeleton` verdicts as skeleton
+//!   rejects.
 //! * **Mediator equivalence matrix** — a session with the containment
 //!   cache on walks the same query mix as one with it off and keeps
 //!   *byte-identical* knowledge after every step, while contacting the
 //!   source strictly fewer times on a subsumption-heavy mix.
 
-use iixml_contain::{contained_in, AnswerCache, Verdict};
+use iixml_contain::{contained_in, AnswerCache, Mismatch, Verdict};
 use iixml_core::io::write_incomplete_xml;
 use iixml_gen::{catalog, catalog_query_price_below, random_queries, sample_tree, testkit};
 use iixml_query::Answer;
@@ -95,16 +98,29 @@ fn verdict_matches_replay_at_width(width: usize) {
                 }
             }
         }
-        // The cache must agree with the raw procedure end-to-end.
+        // The cache must agree with the raw procedure end-to-end: it
+        // hits exactly when `q ⊑ p`, a hit is the source's answer, and
+        // its skeleton-reject count is the descent's `Skeleton` count.
+        // An unsatisfiable `p` is never recorded, so nothing is scanned.
         let mut cache = AnswerCache::new();
         let d = &docs[0];
         let p = &queries[0];
         cache.record(p, &p.eval(d));
+        let scanned = cache.len() == 1;
+        let rejects_before = cache.fast_rejects();
+        let mut skeleton_verdicts = 0;
         for q in &queries {
-            if let Some(hit) = cache.lookup(q) {
+            let verdict = contained_in(q, p);
+            if scanned && verdict == Verdict::NotContained(Mismatch::Skeleton) {
+                skeleton_verdicts += 1;
+            }
+            let hit = cache.lookup(q);
+            assert_eq!(hit.is_some(), verdict.is_contained(), "{verdict:?}");
+            if let Some(hit) = hit {
                 assert_eq!(render_answer(&hit), render_answer(&q.eval(d)));
             }
         }
+        assert_eq!(cache.fast_rejects() - rejects_before, skeleton_verdicts);
     });
     iixml_par::set_threads(None);
 }

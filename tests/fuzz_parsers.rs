@@ -54,6 +54,11 @@ fn query_parser_never_panics() {
         let mut alpha = Alphabet::new();
         let _ = parse_ps_query(&s, &mut alpha);
     });
+    // Nesting far past the bound must be refused, not overflow the
+    // parser's stack.
+    let deep = format!("catalog{}", "/a".repeat(100_000));
+    let mut alpha = Alphabet::new();
+    assert!(parse_ps_query(&deep, &mut alpha).is_err());
 }
 
 #[test]

@@ -13,14 +13,17 @@
 //! * kill -9 (modeled by [`Server::crash`], which drops all state
 //!   without flushing) loses nothing acknowledged before the last
 //!   `sync()` barrier: restart recovery lands each session exactly on
-//!   the barrier knowledge, byte-identically, at any recovery width.
+//!   the barrier knowledge, byte-identically, at any recovery width;
+//! * a query nested far past the parser's bound is refused with a
+//!   `bad-query` error instead of overflowing a connection thread's
+//!   stack and taking the whole process down.
 
 use iixml_bench::loadgen::{run_chaos, run_load, LoadConfig};
 use iixml_core::io::write_incomplete_xml;
 use iixml_gen::rng::DetRng;
 use iixml_gen::{catalog, testkit};
 use iixml_query::parse::parse_ps_query;
-use iixml_serve::{Client, ServeConfig, Server};
+use iixml_serve::{Client, RespOp, ServeConfig, Server};
 use iixml_webhouse::{Session, Source};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -255,5 +258,42 @@ fn kill_minus_9_recovers_every_session_to_its_last_sync_barrier() {
         recovered[0], want,
         "recovery must land exactly on each session's last sync() barrier"
     );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn deep_queries_are_refused_and_the_server_lives_on() {
+    let root = scratch("deep");
+    let server = Server::start(server_cfg(&root)).expect("server start");
+    let port = server.port();
+    // 40 000 levels, 80 KB: well inside one frame.
+    let deep = format!("catalog{}", "/a".repeat(40_000));
+
+    let mut c = Client::connect(port, "t00", 5000, 5000).expect("connect");
+    c.open("deep", 3, 0xDEE9).expect("open");
+    let replies = [
+        ("fetch", c.fetch("deep", &deep)),
+        ("ask", c.ask("deep", &deep)),
+        ("mediate", c.mediate("deep", &deep)),
+    ];
+    for (what, reply) in replies {
+        let resp = reply.unwrap_or_else(|e| panic!("{what}: no reply: {e}"));
+        assert_eq!(resp.op, RespOp::Err, "{what}: {}", resp.body);
+        assert_eq!(resp.lines().first().copied(), Some("bad-query"), "{what}");
+    }
+    let pong = c.ping().expect("ping after deep queries");
+    assert_eq!(pong.op, RespOp::Pong);
+
+    // Another session still gets normal answers.
+    let mut other = Client::connect(port, "t01", 5000, 5000).expect("connect");
+    other.open("plain", 3, 0xBA5E).expect("open");
+    let resp = other
+        .fetch("plain", "catalog/product{name, price[< 200]}")
+        .expect("fetch");
+    assert_eq!(resp.op, RespOp::Answer, "{}", resp.body);
+
+    drop((c, other));
+    let drain = server.shutdown();
+    assert!(drain.faults.is_empty(), "drain faults: {:?}", drain.faults);
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -774,3 +774,84 @@ fn fsync_failure_then_crash_recovers_exactly_the_acknowledged_barrier() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The rebase path with a write-path fault at every operation in turn.
+/// The image is a journal whose log is lost (its segment holds only the
+/// header) but whose snapshots survive, so recovery must rebase it onto
+/// a fresh log. Whatever a fault leaves on disk, recovering again with
+/// real I/O must bring back the snapshot's knowledge, byte for byte, and
+/// never the declared-type initial; a completed rebase must then
+/// recover without rebasing.
+#[test]
+fn rebase_keeps_the_snapshot_state_under_a_fault_at_every_op() {
+    use iixml_store::format::SEGMENT_HEADER_LEN;
+    use iixml_store::wal::Wal;
+    use iixml_store::StoreIo;
+    use iixml_webhouse::{Session, Source};
+
+    let base = testkit::base_seed();
+    let mut rng = DetRng::new(base ^ 0x2EBA5E);
+    let mut cat = iixml_gen::catalog(3, rng.next_u64());
+    let queries: Vec<PsQuery> = (0..6)
+        .map(|_| iixml_gen::catalog_query_price_below(&mut cat.alpha, rng.range_i64(50, 500)))
+        .collect();
+    let alpha = cat.alpha.clone();
+    let source = || Source::new(cat.doc.clone(), Some(cat.ty.clone()));
+    let knowledge = |s: &Session<Source>| write_incomplete_xml(s.knowledge(), s.alphabet());
+
+    let image = scratch("rebase-image");
+    let opened = Session::open(alpha.clone(), source());
+    let initial = knowledge(&opened);
+    let mut refiner = Refiner::from_tree(opened.knowledge().clone());
+    let mut journal = SessionJournal::create(&image).unwrap();
+    journal.set_snapshot_every(None);
+    journal.log_open(&alpha, refiner.current()).unwrap();
+    for half in queries.chunks(3) {
+        for q in half {
+            let ans = q.eval(&cat.doc);
+            refiner.refine(&alpha, q, &ans).unwrap();
+            journal.log_refine(&alpha, q, &ans).unwrap();
+        }
+        journal.snapshot_now(&alpha, refiner.current()).unwrap();
+    }
+    drop(journal);
+    for (_, seg) in Wal::segments(&image).unwrap() {
+        let file = std::fs::OpenOptions::new().write(true).open(seg).unwrap();
+        file.set_len(SEGMENT_HEADER_LEN as u64).unwrap();
+    }
+    let want = ser(&refiner, &alpha);
+    assert_ne!(want, initial, "the snapshot must differ from the initial");
+
+    let dir = scratch("rebase-case");
+    for n in 1u64.. {
+        assert!(n < 200, "the rebase never ran fault-free");
+        copy_dir(&image, &dir);
+        let io = StoreIo::fail_at(base.wrapping_add(n), n);
+        let first = Session::recover_with_io(&dir, source(), io.clone());
+        let faulted = !io.injected().is_empty();
+        match &first {
+            Ok((s, report)) => {
+                assert!(report.rebased, "op {n}: a lost log must be rebased");
+                assert_eq!(knowledge(s), want, "op {n}: rebased state");
+            }
+            Err(e) => assert!(faulted, "op {n}: failed without a fault: {e}"),
+        }
+        drop(first);
+        let (again, _) = Session::recover(&dir, source())
+            .unwrap_or_else(|e| panic!("op {n}: recovery after the fault failed: {e}"));
+        assert_eq!(
+            knowledge(&again),
+            want,
+            "op {n}: recovery lost the snapshot's state"
+        );
+        drop(again);
+        let (settled, report) = Session::recover(&dir, source()).unwrap();
+        assert_eq!(knowledge(&settled), want, "op {n}: settled state");
+        assert!(!report.rebased, "op {n}: a completed rebase must continue");
+        if !faulted {
+            break;
+        }
+    }
+    let _ = std::fs::remove_dir_all(&image);
+    let _ = std::fs::remove_dir_all(&dir);
+}
