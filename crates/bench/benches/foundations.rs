@@ -38,13 +38,7 @@ fn bench_conditions(h: &mut Harness) {
 fn chain_type(depth: usize) -> ConditionalTreeType {
     let mut ty = ConditionalTreeType::new();
     let syms: Vec<_> = (0..depth)
-        .map(|i| {
-            ty.add_symbol(
-                format!("s{i}"),
-                SymTarget::Lab(Label(i as u32)),
-                IntervalSet::all(),
-            )
-        })
+        .map(|i| ty.add_symbol(SymTarget::Lab(Label(i as u32)), IntervalSet::all()))
         .collect();
     for (i, &s) in syms.iter().enumerate() {
         if i + 1 < depth {

@@ -143,11 +143,7 @@ impl Builder<'_> {
                     QPos::At(m) => info.cond.intersect(self.q.cond_set(m)),
                     QPos::Bar => info.cond.clone(),
                 };
-                let suffix = match pos {
-                    QPos::At(m) => format!("@q{}", m.0),
-                    QPos::Bar => "@bar".to_string(),
-                };
-                let p = out.add_symbol(format!("{}{}", info.name, suffix), info.target, cond);
+                let p = out.add_symbol(info.target, cond);
                 worklist.push((s, pos));
                 p
             })
@@ -517,22 +513,10 @@ mod tests {
             },
         );
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol(
-            "r",
-            SymTarget::Node(Nid(0)),
-            Cond::eq(Rat::ZERO).to_intervals(),
-        );
-        let n = ty.add_symbol(
-            "n",
-            SymTarget::Node(Nid(1)),
-            Cond::eq(Rat::ZERO).to_intervals(),
-        );
-        let a = ty.add_symbol(
-            "a",
-            SymTarget::Lab(Label(1)),
-            Cond::ne(Rat::ZERO).to_intervals(),
-        );
-        let b = ty.add_symbol("b", SymTarget::Lab(Label(2)), IntervalSet::all());
+        let r = ty.add_symbol(SymTarget::Node(Nid(0)), Cond::eq(Rat::ZERO).to_intervals());
+        let n = ty.add_symbol(SymTarget::Node(Nid(1)), Cond::eq(Rat::ZERO).to_intervals());
+        let a = ty.add_symbol(SymTarget::Lab(Label(1)), Cond::ne(Rat::ZERO).to_intervals());
+        let b = ty.add_symbol(SymTarget::Lab(Label(2)), IntervalSet::all());
         ty.set_mu(
             r,
             Disjunction::single(SAtom::new(vec![(n, Mult::One), (a, Mult::Star)])),
@@ -782,7 +766,7 @@ mod tests {
     fn querying_an_empty_rep() {
         // Incomplete tree with empty rep: no answers at all.
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol("r", SymTarget::Lab(Label(0)), IntervalSet::empty());
+        let r = ty.add_symbol(SymTarget::Lab(Label(0)), IntervalSet::empty());
         ty.set_mu(r, Disjunction::leaf());
         ty.add_root(r);
         let it = IncompleteTree::new(BTreeMap::new(), ty).unwrap();

@@ -39,9 +39,8 @@ impl ConjunctiveTree {
     /// Starts with the zero-knowledge universal layer.
     pub fn new(alpha: &Alphabet) -> ConjunctiveTree {
         let labels: Vec<Label> = alpha.labels().collect();
-        let names: Vec<&str> = labels.iter().map(|&l| alpha.name(l)).collect();
         ConjunctiveTree {
-            layers: vec![IncompleteTree::universal(&labels, &names)],
+            layers: vec![IncompleteTree::universal(&labels)],
         }
     }
 

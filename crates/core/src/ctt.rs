@@ -49,8 +49,6 @@ pub enum SymTarget {
 /// Metadata of one specialized symbol.
 #[derive(Clone, Debug)]
 pub struct SymbolInfo {
-    /// Human-readable name for display/debugging (e.g. `product2b`).
-    pub name: String,
     /// The specialization target σ(s).
     pub target: SymTarget,
     /// The condition on data values of nodes typed by this symbol, in
@@ -167,18 +165,9 @@ impl ConditionalTreeType {
     /// unsatisfiable empty disjunction until [`set_mu`] is called.
     ///
     /// [`set_mu`]: ConditionalTreeType::set_mu
-    pub fn add_symbol(
-        &mut self,
-        name: impl Into<String>,
-        target: SymTarget,
-        cond: IntervalSet,
-    ) -> Sym {
+    pub fn add_symbol(&mut self, target: SymTarget, cond: IntervalSet) -> Sym {
         let s = Sym(self.symbols.len() as u32);
-        self.symbols.push(SymbolInfo {
-            name: name.into(),
-            target,
-            cond,
-        });
+        self.symbols.push(SymbolInfo { target, cond });
         self.mu.push(unset_mu());
         s
     }
@@ -354,7 +343,7 @@ impl ConditionalTreeType {
         for s in self.syms() {
             if useful[s.ix()] {
                 let info = self.info(s);
-                let ns = out.add_symbol(info.name.clone(), info.target, info.cond.clone());
+                let ns = out.add_symbol(info.target, info.cond.clone());
                 remap[s.ix()] = Some(ns);
             }
         }
@@ -497,26 +486,35 @@ impl ConditionalTreeType {
 }
 
 /// Helper returned by [`ConditionalTreeType::display`].
+///
+/// Symbols carry no names: each one is shown by its target text, the
+/// label's name or `n<nid>` for a data node. Symbols that specialize the
+/// same label print alike; their conditions and right-hand sides tell
+/// them apart.
 pub struct DisplayCtt<'a> {
     ty: &'a ConditionalTreeType,
     alpha: &'a Alphabet,
+}
+
+impl DisplayCtt<'_> {
+    fn target(&self, s: Sym) -> String {
+        match self.ty.info(s).target {
+            SymTarget::Lab(l) => self.alpha.name(l).to_string(),
+            SymTarget::Node(n) => n.to_string(),
+        }
+    }
 }
 
 impl fmt::Display for DisplayCtt<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let t = self.ty;
         write!(f, "roots:")?;
-        for r in &t.roots {
-            write!(f, " {}", t.info(*r).name)?;
+        for &r in &t.roots {
+            write!(f, " {}", self.target(r))?;
         }
         writeln!(f)?;
         for s in t.syms() {
-            let info = t.info(s);
-            let target = match info.target {
-                SymTarget::Lab(l) => self.alpha.name(l).to_string(),
-                SymTarget::Node(n) => n.to_string(),
-            };
-            write!(f, "{} [-> {target}, {}] ::= ", info.name, info.cond)?;
+            write!(f, "{} [{}] ::= ", self.target(s), t.info(s).cond)?;
             if t.mu(s).0.is_empty() {
                 write!(f, "UNSAT")?;
             }
@@ -531,7 +529,7 @@ impl fmt::Display for DisplayCtt<'_> {
                         if j > 0 {
                             write!(f, " ")?;
                         }
-                        write!(f, "{}{}", t.info(c).name, m)?;
+                        write!(f, "{}{}", self.target(c), m)?;
                     }
                 }
             }
@@ -550,9 +548,9 @@ mod tests {
     /// requires an infinite chain).
     fn sample() -> (ConditionalTreeType, Sym, Sym, Sym) {
         let mut t = ConditionalTreeType::new();
-        let root = t.add_symbol("root", SymTarget::Lab(Label(0)), IntervalSet::all());
-        let a = t.add_symbol("a", SymTarget::Lab(Label(1)), IntervalSet::all());
-        let b = t.add_symbol("b", SymTarget::Lab(Label(2)), IntervalSet::all());
+        let root = t.add_symbol(SymTarget::Lab(Label(0)), IntervalSet::all());
+        let a = t.add_symbol(SymTarget::Lab(Label(1)), IntervalSet::all());
+        let b = t.add_symbol(SymTarget::Lab(Label(2)), IntervalSet::all());
         t.set_mu(
             root,
             Disjunction::single(SAtom::new(vec![(a, Mult::One), (b, Mult::Opt)])),
@@ -576,8 +574,8 @@ mod tests {
     #[test]
     fn empty_when_root_needs_unproductive_child() {
         let mut t = ConditionalTreeType::new();
-        let root = t.add_symbol("root", SymTarget::Lab(Label(0)), IntervalSet::all());
-        let b = t.add_symbol("b", SymTarget::Lab(Label(1)), IntervalSet::all());
+        let root = t.add_symbol(SymTarget::Lab(Label(0)), IntervalSet::all());
+        let b = t.add_symbol(SymTarget::Lab(Label(1)), IntervalSet::all());
         t.set_mu(root, Disjunction::single(SAtom::new(vec![(b, Mult::Plus)])));
         t.set_mu(b, Disjunction::single(SAtom::new(vec![(b, Mult::One)])));
         t.add_root(root);
@@ -587,7 +585,7 @@ mod tests {
     #[test]
     fn unsatisfiable_condition_kills_symbol() {
         let mut t = ConditionalTreeType::new();
-        let root = t.add_symbol("root", SymTarget::Lab(Label(0)), IntervalSet::empty());
+        let root = t.add_symbol(SymTarget::Lab(Label(0)), IntervalSet::empty());
         t.set_mu(root, Disjunction::leaf());
         t.add_root(root);
         assert!(t.is_empty());
@@ -596,7 +594,7 @@ mod tests {
     #[test]
     fn empty_disjunction_is_unsat() {
         let mut t = ConditionalTreeType::new();
-        let root = t.add_symbol("root", SymTarget::Lab(Label(0)), IntervalSet::all());
+        let root = t.add_symbol(SymTarget::Lab(Label(0)), IntervalSet::all());
         t.add_root(root);
         // µ(root) left as the default empty disjunction.
         assert!(t.is_empty());
@@ -618,8 +616,8 @@ mod tests {
     #[test]
     fn trim_drops_unreachable() {
         let mut t = ConditionalTreeType::new();
-        let root = t.add_symbol("root", SymTarget::Lab(Label(0)), IntervalSet::all());
-        let orphan = t.add_symbol("orphan", SymTarget::Lab(Label(1)), IntervalSet::all());
+        let root = t.add_symbol(SymTarget::Lab(Label(0)), IntervalSet::all());
+        let orphan = t.add_symbol(SymTarget::Lab(Label(1)), IntervalSet::all());
         t.set_mu(root, Disjunction::leaf());
         t.set_mu(orphan, Disjunction::leaf());
         t.add_root(root);
@@ -631,17 +629,12 @@ mod tests {
     #[test]
     fn witness_constructs_member() {
         let mut t = ConditionalTreeType::new();
-        let root = t.add_symbol(
-            "root",
-            SymTarget::Lab(Label(0)),
-            Cond::eq(Rat::ZERO).to_intervals(),
-        );
+        let root = t.add_symbol(SymTarget::Lab(Label(0)), Cond::eq(Rat::ZERO).to_intervals());
         let a = t.add_symbol(
-            "a",
             SymTarget::Lab(Label(1)),
             Cond::gt(Rat::from(5)).to_intervals(),
         );
-        let b = t.add_symbol("b", SymTarget::Lab(Label(2)), IntervalSet::all());
+        let b = t.add_symbol(SymTarget::Lab(Label(2)), IntervalSet::all());
         t.set_mu(
             root,
             Disjunction::single(SAtom::new(vec![(a, Mult::Plus), (b, Mult::Star)])),
@@ -676,9 +669,9 @@ mod tests {
     fn disjunction_gives_choice() {
         // root -> a | b with a unproductive: witness must pick b.
         let mut t = ConditionalTreeType::new();
-        let root = t.add_symbol("root", SymTarget::Lab(Label(0)), IntervalSet::all());
-        let a = t.add_symbol("a", SymTarget::Lab(Label(1)), IntervalSet::all());
-        let b = t.add_symbol("b", SymTarget::Lab(Label(2)), IntervalSet::all());
+        let root = t.add_symbol(SymTarget::Lab(Label(0)), IntervalSet::all());
+        let a = t.add_symbol(SymTarget::Lab(Label(1)), IntervalSet::all());
+        let b = t.add_symbol(SymTarget::Lab(Label(2)), IntervalSet::all());
         t.set_mu(
             root,
             Disjunction(vec![

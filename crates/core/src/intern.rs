@@ -405,9 +405,9 @@ mod tests {
     #[test]
     fn interned_type_is_deterministic_and_shares_mus() {
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol("r", SymTarget::Lab(Label(0)), IntervalSet::all());
-        let a = ty.add_symbol("a", SymTarget::Lab(Label(1)), IntervalSet::all());
-        let b = ty.add_symbol("b", SymTarget::Lab(Label(1)), IntervalSet::all());
+        let r = ty.add_symbol(SymTarget::Lab(Label(0)), IntervalSet::all());
+        let a = ty.add_symbol(SymTarget::Lab(Label(1)), IntervalSet::all());
+        let b = ty.add_symbol(SymTarget::Lab(Label(1)), IntervalSet::all());
         ty.set_mu(
             r,
             Disjunction(vec![

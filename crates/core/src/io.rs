@@ -9,10 +9,10 @@
 //! <incomplete>
 //!   <data-node nid="0" label="root" val="0"/>
 //!   <data-node nid="1" label="a" val="0"/>
-//!   <symbol id="0" name="r" node="0" cond="= 0" root="true">
+//!   <symbol id="0" node="0" cond="= 0" root="true">
 //!     <alt><e sym="1" mult="1"/><e sym="2" mult="*"/></alt>
 //!   </symbol>
-//!   <symbol id="2" name="a" label="a" cond="!= 0">
+//!   <symbol id="2" label="a" cond="!= 0">
 //!     <alt><e sym="3" mult="*"/></alt>
 //!   </symbol>
 //! </incomplete>
@@ -20,6 +20,10 @@
 //!
 //! `write_incomplete_xml` / `parse_incomplete_xml` round-trip exactly
 //! (same symbols, atoms, conditions, data nodes).
+//!
+//! A symbol is identified by its `id` alone: the text records what the
+//! knowledge is, not the queries that built it. Text written by older
+//! versions also carries a `name=` attribute; the parser ignores it.
 
 use crate::ctt::{ConditionalTreeType, Disjunction, SAtom, Sym, SymTarget};
 use crate::itree::{IncompleteTree, NodeInfo};
@@ -54,9 +58,8 @@ pub fn write_incomplete_xml(it: &IncompleteTree, alpha: &Alphabet) -> String {
             ""
         };
         out.push_str(&format!(
-            "  <symbol id=\"{}\" name=\"{}\" {target} cond=\"{cond}\"{root_attr}>\n",
-            s.0,
-            xml_escape(&info.name),
+            "  <symbol id=\"{}\" {target} cond=\"{cond}\"{root_attr}>\n",
+            s.0
         ));
         for atom in ty.mu(s).atoms() {
             out.push_str("    <alt>");
@@ -78,12 +81,6 @@ fn mult_text(m: Mult) -> &'static str {
         Mult::Plus => "+",
         Mult::Star => "*",
     }
-}
-
-fn xml_escape(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('"', "&quot;")
-        .replace('<', "&lt;")
 }
 
 fn xml_unescape(s: &str) -> String {
@@ -200,7 +197,6 @@ pub fn parse_incomplete_xml(input: &str, alpha: &mut Alphabet) -> Result<Incompl
     // Symbols may reference higher ids; collect raw first.
     struct RawSymbol {
         id: u32,
-        name: String,
         target: SymTarget,
         cond: iixml_values::IntervalSet,
         root: bool,
@@ -236,7 +232,8 @@ pub fn parse_incomplete_xml(input: &str, alpha: &mut Alphabet) -> Result<Incompl
                 .ok_or_else(|| p.err("symbol missing id"))?
                 .parse()
                 .map_err(|e| p.err(format!("bad id: {e}")))?;
-            let name = get(&attrs, "name").unwrap_or_default().to_string();
+            // `name=` (written before symbols lost their names) is
+            // ignored, so older knowledge text still loads.
             let target = if let Some(n) = get(&attrs, "node") {
                 SymTarget::Node(Nid(n
                     .parse()
@@ -290,7 +287,6 @@ pub fn parse_incomplete_xml(input: &str, alpha: &mut Alphabet) -> Result<Incompl
             }
             raw.push(RawSymbol {
                 id,
-                name,
                 target,
                 cond,
                 root,
@@ -314,7 +310,7 @@ pub fn parse_incomplete_xml(input: &str, alpha: &mut Alphabet) -> Result<Incompl
                 message: format!("symbol ids must be dense; missing id {i}"),
             });
         }
-        ty.add_symbol(r.name.clone(), r.target, r.cond.clone());
+        ty.add_symbol(r.target, r.cond.clone());
     }
     let n = raw.len() as u32;
     for r in &raw {
@@ -372,22 +368,10 @@ mod tests {
             },
         );
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol(
-            "r",
-            SymTarget::Node(Nid(0)),
-            Cond::eq(Rat::ZERO).to_intervals(),
-        );
-        let n = ty.add_symbol(
-            "n",
-            SymTarget::Node(Nid(1)),
-            Cond::eq(Rat::ZERO).to_intervals(),
-        );
-        let a = ty.add_symbol(
-            "a",
-            SymTarget::Lab(Label(1)),
-            Cond::ne(Rat::ZERO).to_intervals(),
-        );
-        let b = ty.add_symbol("b", SymTarget::Lab(Label(2)), IntervalSet::all());
+        let r = ty.add_symbol(SymTarget::Node(Nid(0)), Cond::eq(Rat::ZERO).to_intervals());
+        let n = ty.add_symbol(SymTarget::Node(Nid(1)), Cond::eq(Rat::ZERO).to_intervals());
+        let a = ty.add_symbol(SymTarget::Lab(Label(1)), Cond::ne(Rat::ZERO).to_intervals());
+        let b = ty.add_symbol(SymTarget::Lab(Label(2)), IntervalSet::all());
         ty.set_mu(
             r,
             Disjunction::single(SAtom::new(vec![(n, Mult::One), (a, Mult::Star)])),

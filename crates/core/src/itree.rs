@@ -109,12 +109,11 @@ impl IncompleteTree {
 
     /// The incomplete tree representing *all* data trees over the given
     /// labels — the zero-knowledge starting point of a Refine chain.
-    pub fn universal(labels: &[Label], names: &[&str]) -> IncompleteTree {
+    pub fn universal(labels: &[Label]) -> IncompleteTree {
         let mut ty = ConditionalTreeType::new();
         let syms: Vec<Sym> = labels
             .iter()
-            .zip(names)
-            .map(|(&l, &n)| ty.add_symbol(n, SymTarget::Lab(l), IntervalSet::all()))
+            .map(|&l| ty.add_symbol(SymTarget::Lab(l), IntervalSet::all()))
             .collect();
         let all_star = SAtom::new(syms.iter().map(|&s| (s, Mult::Star)).collect());
         for &s in &syms {
@@ -586,18 +585,10 @@ mod tests {
             },
         );
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol(
-            "r",
-            SymTarget::Node(Nid(0)),
-            Cond::eq(Rat::ZERO).to_intervals(),
-        );
-        let n = ty.add_symbol(
-            "n",
-            SymTarget::Node(Nid(1)),
-            Cond::eq(Rat::ZERO).to_intervals(),
-        );
-        let a = ty.add_symbol("a", SymTarget::Lab(a_l), Cond::ne(Rat::ZERO).to_intervals());
-        let b = ty.add_symbol("b", SymTarget::Lab(b_l), IntervalSet::all());
+        let r = ty.add_symbol(SymTarget::Node(Nid(0)), Cond::eq(Rat::ZERO).to_intervals());
+        let n = ty.add_symbol(SymTarget::Node(Nid(1)), Cond::eq(Rat::ZERO).to_intervals());
+        let a = ty.add_symbol(SymTarget::Lab(a_l), Cond::ne(Rat::ZERO).to_intervals());
+        let b = ty.add_symbol(SymTarget::Lab(b_l), IntervalSet::all());
         ty.set_mu(
             r,
             Disjunction::single(SAtom::new(vec![(n, Mult::One), (a, Mult::Star)])),
@@ -667,7 +658,7 @@ mod tests {
     #[test]
     fn universal_accepts_everything() {
         let labels = [Label(0), Label(1)];
-        let it = IncompleteTree::universal(&labels, &["r", "a"]);
+        let it = IncompleteTree::universal(&labels);
         let mut t = DataTree::new(Nid(0), Label(1), Rat::from(42));
         let c = t.add_child(t.root(), Nid(1), Label(0), Rat::ZERO).unwrap();
         t.add_child(c, Nid(2), Label(1), Rat::from(-3)).unwrap();
@@ -697,8 +688,8 @@ mod tests {
             },
         );
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol("r", SymTarget::Node(Nid(0)), IntervalSet::all());
-        let n = ty.add_symbol("n", SymTarget::Node(Nid(1)), IntervalSet::all());
+        let r = ty.add_symbol(SymTarget::Node(Nid(0)), IntervalSet::all());
+        let n = ty.add_symbol(SymTarget::Node(Nid(1)), IntervalSet::all());
         ty.set_mu(r, Disjunction::single(SAtom::new(vec![(n, Mult::Plus)])));
         ty.set_mu(n, Disjunction::leaf());
         ty.add_root(r);
@@ -717,8 +708,8 @@ mod tests {
             },
         );
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol("r", SymTarget::Lab(Label(0)), IntervalSet::all());
-        let n = ty.add_symbol("n", SymTarget::Node(Nid(1)), IntervalSet::all());
+        let r = ty.add_symbol(SymTarget::Lab(Label(0)), IntervalSet::all());
+        let n = ty.add_symbol(SymTarget::Node(Nid(1)), IntervalSet::all());
         ty.set_mu(r, Disjunction::single(SAtom::new(vec![(n, Mult::One)])));
         ty.set_mu(n, Disjunction::leaf());
         ty.add_root(r);
@@ -729,7 +720,7 @@ mod tests {
     #[test]
     fn unknown_node_rejected() {
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol("r", SymTarget::Node(Nid(7)), IntervalSet::all());
+        let r = ty.add_symbol(SymTarget::Node(Nid(7)), IntervalSet::all());
         ty.set_mu(r, Disjunction::leaf());
         ty.add_root(r);
         assert_eq!(
@@ -752,7 +743,6 @@ mod tests {
         );
         let mut ty = ConditionalTreeType::new();
         let r = ty.add_symbol(
-            "r",
             SymTarget::Node(Nid(0)),
             Cond::lt(Rat::from(3)).to_intervals(),
         );
@@ -783,18 +773,13 @@ mod tests {
             },
         );
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol("r", SymTarget::Node(Nid(0)), IntervalSet::all());
-        let n1 = ty.add_symbol("n1", SymTarget::Node(Nid(1)), IntervalSet::all());
+        let r = ty.add_symbol(SymTarget::Node(Nid(0)), IntervalSet::all());
+        let n1 = ty.add_symbol(SymTarget::Node(Nid(1)), IntervalSet::all());
         let a1 = ty.add_symbol(
-            "a1",
             SymTarget::Lab(Label(1)),
             Cond::lt(Rat::from(5)).to_intervals(),
         );
-        let a2 = ty.add_symbol(
-            "a2",
-            SymTarget::Lab(Label(1)),
-            Cond::gt(Rat::ZERO).to_intervals(),
-        );
+        let a2 = ty.add_symbol(SymTarget::Lab(Label(1)), Cond::gt(Rat::ZERO).to_intervals());
         ty.set_mu(
             r,
             Disjunction::single(SAtom::new(vec![
@@ -813,8 +798,8 @@ mod tests {
         assert!(!it2.is_unambiguous());
         // Node entries with multiplicity other than One violate (1).
         let mut ty2 = ConditionalTreeType::new();
-        let r2 = ty2.add_symbol("r", SymTarget::Node(Nid(0)), IntervalSet::all());
-        let n2 = ty2.add_symbol("n1", SymTarget::Node(Nid(1)), IntervalSet::all());
+        let r2 = ty2.add_symbol(SymTarget::Node(Nid(0)), IntervalSet::all());
+        let n2 = ty2.add_symbol(SymTarget::Node(Nid(1)), IntervalSet::all());
         ty2.set_mu(r2, Disjunction::single(SAtom::new(vec![(n2, Mult::Opt)])));
         ty2.set_mu(n2, Disjunction::leaf());
         ty2.add_root(r2);
@@ -864,7 +849,7 @@ mod tests {
             },
         );
         let mut ty = it.ty.clone();
-        let orphan = ty.add_symbol("orphan", SymTarget::Node(Nid(77)), IntervalSet::all());
+        let orphan = ty.add_symbol(SymTarget::Node(Nid(77)), IntervalSet::all());
         ty.set_mu(orphan, Disjunction::leaf());
         let it2 = IncompleteTree::new(nodes, ty).unwrap();
         let trimmed = it2.trim();

@@ -277,7 +277,7 @@ impl IncompleteTree {
             let b = block_of[s.ix()];
             if let std::collections::hash_map::Entry::Vacant(e) = rep_sym.entry(b) {
                 let info = ty.info(s);
-                let ns = out.add_symbol(info.name.clone(), info.target, info.cond.clone());
+                let ns = out.add_symbol(info.target, info.cond.clone());
                 e.insert(ns);
             }
         }
@@ -450,17 +450,9 @@ mod tests {
     #[test]
     fn merges_identical_star_symbols() {
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol("r", SymTarget::Lab(Label(0)), IntervalSet::all());
-        let a1 = ty.add_symbol(
-            "a1",
-            SymTarget::Lab(Label(1)),
-            Cond::gt(Rat::ZERO).to_intervals(),
-        );
-        let a2 = ty.add_symbol(
-            "a2",
-            SymTarget::Lab(Label(1)),
-            Cond::gt(Rat::ZERO).to_intervals(),
-        );
+        let r = ty.add_symbol(SymTarget::Lab(Label(0)), IntervalSet::all());
+        let a1 = ty.add_symbol(SymTarget::Lab(Label(1)), Cond::gt(Rat::ZERO).to_intervals());
+        let a2 = ty.add_symbol(SymTarget::Lab(Label(1)), Cond::gt(Rat::ZERO).to_intervals());
         ty.set_mu(
             r,
             Disjunction(vec![
@@ -492,17 +484,9 @@ mod tests {
     #[test]
     fn keeps_distinguishable_symbols() {
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol("r", SymTarget::Lab(Label(0)), IntervalSet::all());
-        let a1 = ty.add_symbol(
-            "a1",
-            SymTarget::Lab(Label(1)),
-            Cond::gt(Rat::ZERO).to_intervals(),
-        );
-        let a2 = ty.add_symbol(
-            "a2",
-            SymTarget::Lab(Label(1)),
-            Cond::lt(Rat::ZERO).to_intervals(),
-        );
+        let r = ty.add_symbol(SymTarget::Lab(Label(0)), IntervalSet::all());
+        let a1 = ty.add_symbol(SymTarget::Lab(Label(1)), Cond::gt(Rat::ZERO).to_intervals());
+        let a2 = ty.add_symbol(SymTarget::Lab(Label(1)), Cond::lt(Rat::ZERO).to_intervals());
         ty.set_mu(
             r,
             Disjunction::single(SAtom::new(vec![(a1, Mult::Star), (a2, Mult::Star)])),
@@ -519,10 +503,10 @@ mod tests {
     #[test]
     fn structure_distinguishes() {
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol("r", SymTarget::Lab(Label(0)), IntervalSet::all());
-        let a1 = ty.add_symbol("a1", SymTarget::Lab(Label(1)), IntervalSet::all());
-        let a2 = ty.add_symbol("a2", SymTarget::Lab(Label(1)), IntervalSet::all());
-        let b = ty.add_symbol("b", SymTarget::Lab(Label(2)), IntervalSet::all());
+        let r = ty.add_symbol(SymTarget::Lab(Label(0)), IntervalSet::all());
+        let a1 = ty.add_symbol(SymTarget::Lab(Label(1)), IntervalSet::all());
+        let a2 = ty.add_symbol(SymTarget::Lab(Label(1)), IntervalSet::all());
+        let b = ty.add_symbol(SymTarget::Lab(Label(2)), IntervalSet::all());
         ty.set_mu(
             r,
             Disjunction::single(SAtom::new(vec![(a1, Mult::Star), (a2, Mult::Star)])),
@@ -549,11 +533,11 @@ mod tests {
             },
         );
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol("r", SymTarget::Node(Nid(0)), IntervalSet::all());
+        let r = ty.add_symbol(SymTarget::Node(Nid(0)), IntervalSet::all());
         // Two identical-behavior Lab symbols, both mandatory in the same
         // atom: merged they would require "exactly 2".
-        let a1 = ty.add_symbol("a1", SymTarget::Lab(Label(1)), IntervalSet::all());
-        let a2 = ty.add_symbol("a2", SymTarget::Lab(Label(1)), IntervalSet::all());
+        let a1 = ty.add_symbol(SymTarget::Lab(Label(1)), IntervalSet::all());
+        let a2 = ty.add_symbol(SymTarget::Lab(Label(1)), IntervalSet::all());
         ty.set_mu(
             r,
             Disjunction::single(SAtom::new(vec![(a1, Mult::One), (a2, Mult::One)])),
@@ -601,11 +585,11 @@ mod tests {
     #[test]
     fn interned_path_matches_reference() {
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol("r", SymTarget::Lab(Label(0)), IntervalSet::all());
-        let a1 = ty.add_symbol("a1", SymTarget::Lab(Label(1)), IntervalSet::all());
-        let a2 = ty.add_symbol("a2", SymTarget::Lab(Label(1)), IntervalSet::all());
-        let b = ty.add_symbol("b", SymTarget::Lab(Label(2)), IntervalSet::all());
-        let c1 = ty.add_symbol("c1", SymTarget::Lab(Label(1)), IntervalSet::all());
+        let r = ty.add_symbol(SymTarget::Lab(Label(0)), IntervalSet::all());
+        let a1 = ty.add_symbol(SymTarget::Lab(Label(1)), IntervalSet::all());
+        let a2 = ty.add_symbol(SymTarget::Lab(Label(1)), IntervalSet::all());
+        let b = ty.add_symbol(SymTarget::Lab(Label(2)), IntervalSet::all());
+        let c1 = ty.add_symbol(SymTarget::Lab(Label(1)), IntervalSet::all());
         ty.set_mu(
             r,
             Disjunction(vec![
@@ -635,9 +619,9 @@ mod tests {
         mu: impl Fn(Sym, Sym) -> Disjunction,
     ) -> (ConditionalTreeType, [Sym; 3]) {
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol("r", SymTarget::Lab(Label(0)), IntervalSet::all());
-        let a1 = ty.add_symbol("a1", SymTarget::Lab(Label(1)), IntervalSet::all());
-        let a2 = ty.add_symbol("a2", SymTarget::Lab(Label(1)), cond2);
+        let r = ty.add_symbol(SymTarget::Lab(Label(0)), IntervalSet::all());
+        let a1 = ty.add_symbol(SymTarget::Lab(Label(1)), IntervalSet::all());
+        let a2 = ty.add_symbol(SymTarget::Lab(Label(1)), cond2);
         ty.set_mu(r, mu(a1, a2));
         ty.set_mu(a1, Disjunction::leaf());
         ty.set_mu(a2, Disjunction::leaf());
@@ -686,7 +670,7 @@ mod tests {
         roots.set_roots(vec![a1, r]);
         cases.push(("unsorted roots", roots, false));
         let (mut orphan, _) = two_kids(pos(), stars);
-        let o = orphan.add_symbol("o", SymTarget::Lab(Label(2)), IntervalSet::all());
+        let o = orphan.add_symbol(SymTarget::Lab(Label(2)), IntervalSet::all());
         orphan.set_mu(o, Disjunction::leaf());
         cases.push(("useless symbol", orphan, false));
         cases.push(("empty type", ConditionalTreeType::new(), true));
@@ -711,9 +695,9 @@ mod tests {
     #[test]
     fn idempotent() {
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol("r", SymTarget::Lab(Label(0)), IntervalSet::all());
-        let a1 = ty.add_symbol("a1", SymTarget::Lab(Label(1)), IntervalSet::all());
-        let a2 = ty.add_symbol("a2", SymTarget::Lab(Label(1)), IntervalSet::all());
+        let r = ty.add_symbol(SymTarget::Lab(Label(0)), IntervalSet::all());
+        let a1 = ty.add_symbol(SymTarget::Lab(Label(1)), IntervalSet::all());
+        let a2 = ty.add_symbol(SymTarget::Lab(Label(1)), IntervalSet::all());
         ty.set_mu(
             r,
             Disjunction::single(SAtom::new(vec![(a1, Mult::Star), (a2, Mult::Star)])),

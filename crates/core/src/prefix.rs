@@ -234,22 +234,10 @@ mod tests {
             },
         );
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol(
-            "r",
-            SymTarget::Node(Nid(0)),
-            Cond::eq(Rat::ZERO).to_intervals(),
-        );
-        let n = ty.add_symbol(
-            "n",
-            SymTarget::Node(Nid(1)),
-            Cond::eq(Rat::ZERO).to_intervals(),
-        );
-        let a = ty.add_symbol(
-            "a",
-            SymTarget::Lab(Label(1)),
-            Cond::ne(Rat::ZERO).to_intervals(),
-        );
-        let b = ty.add_symbol("b", SymTarget::Lab(Label(2)), IntervalSet::all());
+        let r = ty.add_symbol(SymTarget::Node(Nid(0)), Cond::eq(Rat::ZERO).to_intervals());
+        let n = ty.add_symbol(SymTarget::Node(Nid(1)), Cond::eq(Rat::ZERO).to_intervals());
+        let a = ty.add_symbol(SymTarget::Lab(Label(1)), Cond::ne(Rat::ZERO).to_intervals());
+        let b = ty.add_symbol(SymTarget::Lab(Label(2)), IntervalSet::all());
         ty.set_mu(
             r,
             Disjunction::single(SAtom::new(vec![(n, Mult::One), (a, Mult::Star)])),
@@ -337,8 +325,8 @@ mod tests {
         );
         let mut ty = ConditionalTreeType::new();
         // Root requires an unproductive child.
-        let r = ty.add_symbol("r", SymTarget::Node(Nid(0)), IntervalSet::all());
-        let x = ty.add_symbol("x", SymTarget::Lab(Label(1)), IntervalSet::all());
+        let r = ty.add_symbol(SymTarget::Node(Nid(0)), IntervalSet::all());
+        let x = ty.add_symbol(SymTarget::Lab(Label(1)), IntervalSet::all());
         ty.set_mu(r, Disjunction::single(SAtom::new(vec![(x, Mult::One)])));
         ty.set_mu(x, Disjunction::single(SAtom::new(vec![(x, Mult::One)])));
         ty.add_root(r);
@@ -354,13 +342,8 @@ mod tests {
         // root -> x* with cond(x) = (0, 10): a tree with x=5 is possible
         // but never certain (value not forced, and x not mandatory).
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol(
-            "r",
-            SymTarget::Lab(Label(0)),
-            Cond::eq(Rat::ZERO).to_intervals(),
-        );
+        let r = ty.add_symbol(SymTarget::Lab(Label(0)), Cond::eq(Rat::ZERO).to_intervals());
         let x = ty.add_symbol(
-            "x",
             SymTarget::Lab(Label(1)),
             Cond::gt(Rat::ZERO)
                 .and(Cond::lt(Rat::from(10)))
@@ -381,13 +364,8 @@ mod tests {
     fn certain_with_mandatory_forced_child() {
         // root -> x (exactly one, value forced to 7).
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol(
-            "r",
-            SymTarget::Lab(Label(0)),
-            Cond::eq(Rat::ZERO).to_intervals(),
-        );
+        let r = ty.add_symbol(SymTarget::Lab(Label(0)), Cond::eq(Rat::ZERO).to_intervals());
         let x = ty.add_symbol(
-            "x",
             SymTarget::Lab(Label(1)),
             Cond::eq(Rat::from(7)).to_intervals(),
         );
@@ -410,13 +388,8 @@ mod tests {
     fn certain_quantifies_over_all_disjuncts() {
         // root -> x | eps : the x child appears only in some worlds.
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol(
-            "r",
-            SymTarget::Lab(Label(0)),
-            Cond::eq(Rat::ZERO).to_intervals(),
-        );
+        let r = ty.add_symbol(SymTarget::Lab(Label(0)), Cond::eq(Rat::ZERO).to_intervals());
         let x = ty.add_symbol(
-            "x",
             SymTarget::Lab(Label(1)),
             Cond::eq(Rat::from(7)).to_intervals(),
         );
@@ -437,16 +410,8 @@ mod tests {
     #[test]
     fn multiple_roots_certain_needs_all() {
         let mut ty = ConditionalTreeType::new();
-        let r1 = ty.add_symbol(
-            "r1",
-            SymTarget::Lab(Label(0)),
-            Cond::eq(Rat::ZERO).to_intervals(),
-        );
-        let r2 = ty.add_symbol(
-            "r2",
-            SymTarget::Lab(Label(1)),
-            Cond::eq(Rat::ZERO).to_intervals(),
-        );
+        let r1 = ty.add_symbol(SymTarget::Lab(Label(0)), Cond::eq(Rat::ZERO).to_intervals());
+        let r2 = ty.add_symbol(SymTarget::Lab(Label(1)), Cond::eq(Rat::ZERO).to_intervals());
         ty.set_mu(r1, Disjunction::leaf());
         ty.set_mu(r2, Disjunction::leaf());
         ty.add_root(r1);

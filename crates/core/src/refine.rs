@@ -80,11 +80,7 @@ pub fn query_answer_tree(
     let any: HashMap<Label, Sym> = labels
         .iter()
         .map(|&l| {
-            let s = ty.add_symbol(
-                format!("any:{}", alpha.name(l)),
-                SymTarget::Lab(l),
-                IntervalSet::all(),
-            );
+            let s = ty.add_symbol(SymTarget::Lab(l), IntervalSet::all());
             (l, s)
         })
         .collect();
@@ -103,19 +99,11 @@ pub fn query_answer_tree(
     let mut bar: HashMap<QNodeRef, Sym> = HashMap::new();
     let mut hat: HashMap<QNodeRef, Sym> = HashMap::new();
     for &m in qnodes {
-        let b = ty.add_symbol(
-            format!("viol:q{}", m.0),
-            SymTarget::Lab(q.label(m)),
-            q.cond_set(m).complement(),
-        );
+        let b = ty.add_symbol(SymTarget::Lab(q.label(m)), q.cond_set(m).complement());
         ty.set_mu_shared(b, all_star_mu.clone());
         bar.insert(m, b);
         if !q.children(m).is_empty() {
-            let h = ty.add_symbol(
-                format!("fail:q{}", m.0),
-                SymTarget::Lab(q.label(m)),
-                q.cond_set(m).clone(),
-            );
+            let h = ty.add_symbol(SymTarget::Lab(q.label(m)), q.cond_set(m).clone());
             hat.insert(m, h);
         }
     }
@@ -153,11 +141,7 @@ pub fn query_answer_tree(
                     value: a.value(r),
                 },
             );
-            let s = ty.add_symbol(
-                format!("node:{nid}"),
-                SymTarget::Node(nid),
-                IntervalSet::eq(a.value(r)),
-            );
+            let s = ty.add_symbol(SymTarget::Node(nid), IntervalSet::eq(a.value(r)));
             node_sym.insert(nid, s);
         }
         for r in a.preorder() {
@@ -509,16 +493,8 @@ pub fn intersect(t1: &IncompleteTree, t2: &IncompleteTree) -> Result<IncompleteT
     let mut ty = ConditionalTreeType::new();
     for &p in &order {
         let (s1, s2, target) = product.pairs[p.ix()];
-        let (i1, i2) = (ty1.info(s1), ty2.info(s2));
-        // Same "{n1}&{n2}" string as the reference path, built by plain
-        // pushes: the formatting machinery was a visible fraction of
-        // symbol construction at ~30k product symbols.
-        let (n1, n2) = (truncate(&i1.name), truncate(&i2.name));
-        let mut name = String::with_capacity(n1.len() + 1 + n2.len());
-        name.push_str(n1);
-        name.push('&');
-        name.push_str(n2);
-        number[p.ix()] = ty.add_symbol(name, target, i1.cond.intersect(&i2.cond));
+        let cond = ty1.info(s1).cond.intersect(&ty2.info(s2).cond);
+        number[p.ix()] = ty.add_symbol(target, cond);
     }
     for &p in &order {
         let mut atoms: Vec<SAtom> = std::mem::take(&mut mus[p.ix()])
@@ -615,8 +591,7 @@ pub fn intersect_reference(
             if cond.is_empty() {
                 continue;
             }
-            let name = format!("{}&{}", truncate(&i1.name), truncate(&i2.name));
-            let p = ty.add_symbol(name, target, cond);
+            let p = ty.add_symbol(target, cond);
             pair_of.insert((s1, s2), p);
         }
     }
@@ -652,19 +627,6 @@ pub fn intersect_reference(
     }
 
     IncompleteTree::new(nodes, ty)
-}
-
-fn truncate(s: &str) -> &str {
-    let max = 40;
-    if s.len() <= max {
-        s
-    } else {
-        let mut end = max;
-        while !s.is_char_boundary(end) {
-            end -= 1;
-        }
-        &s[..end]
-    }
 }
 
 /// One constrained entry of a ⋊⋉ join: bounded (`1`/`?`) or mandatory
@@ -964,9 +926,8 @@ impl Refiner {
     /// records that no such nodes exist).
     pub fn new(alpha: &Alphabet) -> Refiner {
         let labels: Vec<Label> = alpha.labels().collect();
-        let names: Vec<&str> = labels.iter().map(|&l| alpha.name(l)).collect();
         Refiner {
-            current: IncompleteTree::universal(&labels, &names),
+            current: IncompleteTree::universal(&labels),
             steps: 0,
         }
     }
@@ -1247,8 +1208,7 @@ mod tests {
         let mut number: Vec<Option<Sym>> = vec![None; ty.sym_count()];
         for s in ty.syms().filter(|s| seen[s.ix()]) {
             let info = ty.info(s);
-            number[s.ix()] =
-                Some(out.add_symbol(info.name.clone(), info.target, info.cond.clone()));
+            number[s.ix()] = Some(out.add_symbol(info.target, info.cond.clone()));
         }
         for s in ty.syms().filter(|s| seen[s.ix()]) {
             let atoms = ty.mu(s).atoms().iter().map(|a| {
@@ -1269,7 +1229,7 @@ mod tests {
     fn table_driven_intersect_matches_reference() {
         // The root-driven product with its dense pair table and
         // scratch-arena join is exactly the preserved legacy product
-        // restricted to its root-reachable symbols: symbol ids, names,
+        // restricted to its root-reachable symbols: symbol ids, conditions,
         // µ atom order, roots and data nodes included. Checked on two
         // `T_{q,A}`s and along a Refine chain whose steps include an
         // empty answer and pairs the join probes but never emits; the
@@ -1310,8 +1270,7 @@ mod tests {
             bld.build()
         };
         let labels: Vec<Label> = alpha.labels().collect();
-        let names: Vec<&str> = labels.iter().map(|&l| alpha.name(l)).collect();
-        let typed = restrict_to_type(&IncompleteTree::universal(&labels, &names), &ty);
+        let typed = restrict_to_type(&IncompleteTree::universal(&labels), &ty);
         let empty = query_answer_tree(&q5, &Answer::empty(), &alpha).unwrap();
         cases.push((typed, empty));
         let mut removed = 0;

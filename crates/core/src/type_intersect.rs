@@ -45,7 +45,7 @@ pub fn restrict_to_type(it: &IncompleteTree, ty: &TreeType) -> IncompleteTree {
     // Same symbol set (indices preserved); only roots and µ change.
     for s in src.syms() {
         let info = src.info(s);
-        out.add_symbol(info.name.clone(), info.target, info.cond.clone());
+        out.add_symbol(info.target, info.cond.clone());
     }
     // R′: specializations of ρ's roots.
     for &r in src.roots() {
@@ -323,7 +323,7 @@ mod tests {
             .build()
             .unwrap();
         let r = alpha.get("root").unwrap();
-        let it = IncompleteTree::universal(&[r], &["root"]);
+        let it = IncompleteTree::universal(&[r]);
         let restricted = restrict_to_type(&it, &ty);
         assert!(restricted.is_empty());
     }
@@ -354,8 +354,7 @@ mod tests {
         // Restricting the universal tree by ρ yields exactly rep(ρ).
         let (alpha, ty, t) = setup();
         let labels: Vec<_> = alpha.labels().collect();
-        let names: Vec<&str> = labels.iter().map(|&l| alpha.name(l)).collect();
-        let it = IncompleteTree::universal(&labels, &names);
+        let it = IncompleteTree::universal(&labels);
         let restricted = restrict_to_type(&it, &ty);
         assert!(restricted.contains(&t));
         // A conforming variant.

@@ -115,8 +115,7 @@ pub fn encode(cnf: &Cnf) -> SatEncoding {
 
     // The type as the base layer.
     let labels: Vec<_> = alpha.labels().collect();
-    let names: Vec<&str> = labels.iter().map(|&l| alpha.name(l)).collect();
-    let universal = IncompleteTree::universal(&labels, &names);
+    let universal = IncompleteTree::universal(&labels);
     let base = restrict_to_type(&universal, &ty);
     let mut conj = ConjunctiveTree::from_layers(vec![base]);
     let mut num_queries = 0usize;

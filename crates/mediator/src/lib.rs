@@ -328,18 +328,14 @@ pub fn relax_label(it: &IncompleteTree, label: Label) -> IncompleteTree {
     let merged_cond = group
         .iter()
         .fold(IntervalSet::empty(), |acc, &s| acc.union(&ty.info(s).cond));
-    let merged = out.add_symbol(
-        format!("merged:{}", label.0),
-        SymTarget::Lab(label),
-        merged_cond,
-    );
+    let merged = out.add_symbol(SymTarget::Lab(label), merged_cond);
     let mut remap: HashMap<Sym, Sym> = HashMap::new();
     for s in ty.syms() {
         if group.contains(&s) {
             remap.insert(s, merged);
         } else {
             let info = ty.info(s);
-            let ns = out.add_symbol(info.name.clone(), info.target, info.cond.clone());
+            let ns = out.add_symbol(info.target, info.cond.clone());
             remap.insert(s, ns);
         }
     }

@@ -626,7 +626,7 @@ pub fn root_reachable(it: &IncompleteTree) -> IncompleteTree {
     let mut number: Vec<Option<Sym>> = vec![None; ty.sym_count()];
     for s in ty.syms().filter(|s| seen[s.ix()]) {
         let info = ty.info(s);
-        number[s.ix()] = Some(out.add_symbol(info.name.clone(), info.target, info.cond.clone()));
+        number[s.ix()] = Some(out.add_symbol(info.target, info.cond.clone()));
     }
     for s in ty.syms() {
         let Some(ns) = number[s.ix()] else { continue };
@@ -765,22 +765,10 @@ mod tests {
             },
         );
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol(
-            "r",
-            SymTarget::Node(Nid(0)),
-            Cond::eq(Rat::ZERO).to_intervals(),
-        );
-        let n = ty.add_symbol(
-            "n",
-            SymTarget::Node(Nid(1)),
-            Cond::eq(Rat::ZERO).to_intervals(),
-        );
-        let a = ty.add_symbol(
-            "a",
-            SymTarget::Lab(Label(1)),
-            Cond::ne(Rat::ZERO).to_intervals(),
-        );
-        let b = ty.add_symbol("b", SymTarget::Lab(Label(2)), IntervalSet::all());
+        let r = ty.add_symbol(SymTarget::Node(Nid(0)), Cond::eq(Rat::ZERO).to_intervals());
+        let n = ty.add_symbol(SymTarget::Node(Nid(1)), Cond::eq(Rat::ZERO).to_intervals());
+        let a = ty.add_symbol(SymTarget::Lab(Label(1)), Cond::ne(Rat::ZERO).to_intervals());
+        let b = ty.add_symbol(SymTarget::Lab(Label(2)), IntervalSet::all());
         ty.set_mu(
             r,
             Disjunction::single(SAtom::new(vec![(n, Mult::One), (a, Mult::Star)])),
@@ -895,7 +883,7 @@ mod tests {
         // refined one over the same alphabet.
         use iixml_tree::Label;
         let labels = [Label(0), Label(1), Label(2)];
-        let universal = IncompleteTree::universal(&labels, &["root", "a", "b"]);
+        let universal = IncompleteTree::universal(&labels);
         let refined = example();
         let bounds = Bounds {
             star_cap: 1,
@@ -915,16 +903,8 @@ mod tests {
         // nodes: root alone (2 values) + root-with-a (2 × 2): 6 total.
         use iixml_core::{ConditionalTreeType, Disjunction, SAtom};
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol(
-            "r",
-            SymTarget::Lab(iixml_tree::Label(0)),
-            IntervalSet::all(),
-        );
-        let a = ty.add_symbol(
-            "a",
-            SymTarget::Lab(iixml_tree::Label(1)),
-            IntervalSet::all(),
-        );
+        let r = ty.add_symbol(SymTarget::Lab(iixml_tree::Label(0)), IntervalSet::all());
+        let a = ty.add_symbol(SymTarget::Lab(iixml_tree::Label(1)), IntervalSet::all());
         ty.set_mu(
             r,
             Disjunction::single(SAtom::new(vec![(a, iixml_tree::Mult::Opt)])),
@@ -947,16 +927,8 @@ mod tests {
         // with depth 2 and cap 1 the same 6 worlds are counted.
         use iixml_core::{ConditionalTreeType, Disjunction, SAtom};
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol(
-            "r",
-            SymTarget::Lab(iixml_tree::Label(0)),
-            IntervalSet::all(),
-        );
-        let a = ty.add_symbol(
-            "a",
-            SymTarget::Lab(iixml_tree::Label(1)),
-            IntervalSet::all(),
-        );
+        let r = ty.add_symbol(SymTarget::Lab(iixml_tree::Label(0)), IntervalSet::all());
+        let a = ty.add_symbol(SymTarget::Lab(iixml_tree::Label(1)), IntervalSet::all());
         ty.set_mu(
             r,
             Disjunction::single(SAtom::new(vec![(a, iixml_tree::Mult::Opt)])),
@@ -984,8 +956,7 @@ mod tests {
         use iixml_gen::{catalog, catalog_query_price_below};
         let mut c = catalog(5, 3);
         let labels: Vec<_> = c.alpha.labels().collect();
-        let names: Vec<&str> = labels.iter().map(|&l| c.alpha.name(l)).collect();
-        let universal = IncompleteTree::universal(&labels, &names);
+        let universal = IncompleteTree::universal(&labels);
         let before = log2_sized_worlds(&universal, 0, 20_000, 40);
         let q = catalog_query_price_below(&mut c.alpha, 250);
         let mut refiner = Refiner::new(&c.alpha);

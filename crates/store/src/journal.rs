@@ -37,7 +37,7 @@ use iixml_core::io::{parse_incomplete_xml, write_incomplete_xml};
 use iixml_core::{IncompleteTree, Refiner};
 use iixml_obs::{keys, LazyCounter};
 use iixml_query::{parse_ps_query, Answer, MatchKind, PsQuery, QNodeRef};
-use iixml_tree::xmlio::{parse_tree, write_tree};
+use iixml_tree::xmlio::{parse_tree, write_tree, MAX_TREE_DEPTH};
 use iixml_tree::{Alphabet, Nid};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -209,7 +209,8 @@ impl SessionJournal {
 
     /// Verifies that a refine step has a durable spelling under the
     /// frozen alphabet — every label in the query and the answer tree
-    /// must be nameable.
+    /// must be nameable — and that replay can read the answer back: it
+    /// nests at most [`MAX_TREE_DEPTH`] levels.
     pub fn check_journalable(
         alpha: &Alphabet,
         q: &PsQuery,
@@ -227,6 +228,13 @@ impl SessionJournal {
             }
         }
         if let Some(t) = &ans.tree {
+            // A tree is no deeper than it has nodes: only large answers
+            // need the walk.
+            if t.len() > MAX_TREE_DEPTH && t.depth() > MAX_TREE_DEPTH {
+                return Err(StoreError::Unjournalable {
+                    reason: format!("answer nests deeper than {MAX_TREE_DEPTH} levels"),
+                });
+            }
             for r in t.preorder() {
                 if t.label(r).0 >= named {
                     return Err(StoreError::Unjournalable {
@@ -952,4 +960,44 @@ fn best_snapshot(dir: &Path, max_seq: u64) -> Option<Snapshot> {
         .rev()
         .filter(|&&(seq, _)| seq <= max_seq)
         .find_map(|(_, path)| Snapshot::load(path).ok())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use iixml_tree::{DataTree, Label};
+    use iixml_values::Rat;
+
+    /// An answer whose tree is a chain of `levels` `a` nodes.
+    fn chain_answer(levels: u64) -> Answer {
+        let mut t = DataTree::new(Nid(0), Label(0), Rat::ZERO);
+        let mut at = t.root();
+        for i in 1..levels {
+            at = t.add_child(at, Nid(i), Label(0), Rat::ZERO).unwrap();
+        }
+        Answer {
+            tree: Some(t),
+            provenance: HashMap::new(),
+        }
+    }
+
+    #[test]
+    fn answers_deeper_than_replay_reads_are_unjournalable() {
+        let mut alpha = Alphabet::new();
+        let q = parse_ps_query("a", &mut alpha).unwrap();
+        let deepest = chain_answer(MAX_TREE_DEPTH as u64);
+        SessionJournal::check_journalable(&alpha, &q, &deepest).unwrap();
+        let text = write_tree(deepest.tree.as_ref().unwrap(), &alpha);
+        assert!(
+            parse_tree(&text, &mut alpha).is_ok(),
+            "replay reads it back"
+        );
+        let err =
+            SessionJournal::check_journalable(&alpha, &q, &chain_answer(MAX_TREE_DEPTH as u64 + 1))
+                .unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Unjournalable { reason } if reason.contains("deeper than")),
+            "{err}"
+        );
+    }
 }

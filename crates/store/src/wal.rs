@@ -56,8 +56,10 @@ pub(crate) static OBS_DIR_SYNC_FAILS: LazyCounter = LazyCounter::new(keys::STORE
 /// The most recent flush failure recorded by a [`GroupCommit`] drop — a
 /// crash-path fault with no caller left to report to. Held here so it
 /// is *recorded*, never silently discarded; [`take_drop_fault`] hands
-/// it to whoever inspects the wreckage next (webhouse surfaces it as a
-/// sticky `journal_fault`).
+/// it to whoever inspects the wreckage next. No library crate reads it
+/// (a webhouse session's sticky `journal_fault` holds only faults its
+/// own appends and syncs return): the disk-fault and recovery tests
+/// assert on it, and the CLI walkthrough clears it before a recovery.
 static DROP_FAULT: Mutex<Option<StoreError>> = Mutex::new(None);
 
 fn note_drop_fault(e: StoreError) {
@@ -70,7 +72,9 @@ fn note_drop_fault(e: StoreError) {
 }
 
 /// Takes (and clears) the most recent drop-time flush failure. `None`
-/// means every dropped writer flushed cleanly since the last call.
+/// means every dropped writer flushed cleanly since the last call. The
+/// slot is process-global; its readers are the disk-fault and recovery
+/// tests and the CLI walkthrough.
 pub fn take_drop_fault() -> Option<StoreError> {
     match DROP_FAULT.lock() {
         Ok(mut slot) => slot.take(),

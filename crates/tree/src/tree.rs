@@ -228,12 +228,16 @@ impl DataTree {
         out
     }
 
-    /// The depth of the tree (root alone = 1).
+    /// The depth of the tree (root alone = 1). Iterative, so a tree of
+    /// any depth is measured without deep recursion.
     pub fn depth(&self) -> usize {
-        fn go(t: &DataTree, n: NodeRef) -> usize {
-            1 + t.children(n).iter().map(|&c| go(t, c)).max().unwrap_or(0)
+        let mut deepest = 0;
+        let mut stack = vec![(self.root, 1)];
+        while let Some((n, d)) = stack.pop() {
+            deepest = deepest.max(d);
+            stack.extend(self.children(n).iter().map(|&c| (c, d + 1)));
         }
-        go(self, self.root)
+        deepest
     }
 
     /// Depth of a node below the root (root = 0).

@@ -14,6 +14,9 @@
 //! Element names must be XML-name-like (`[A-Za-z_][A-Za-z0-9_.-]*`); this
 //! is a deliberate simplification — the substrate only needs to round-trip
 //! the paper's abstract model, not handle full XML.
+//!
+//! A document may nest at most [`MAX_TREE_DEPTH`] levels; deeper input is
+//! refused before the parser recurses into it.
 
 use crate::label::Alphabet;
 use crate::tree::{DataTree, Nid, NodeRef};
@@ -50,6 +53,12 @@ pub fn write_tree(t: &DataTree, alpha: &Alphabet) -> String {
     go(t, alpha, t.root(), 0, &mut out);
     out
 }
+
+/// The deepest nesting [`parse_tree`] accepts (the root is level 1).
+/// The parser recurses once per level, so this bounds its stack use on
+/// outside input; a document this deep parses on a thread with a 2 MiB
+/// stack, the size spawned worker threads get.
+pub const MAX_TREE_DEPTH: usize = 1024;
 
 /// Error from parsing the XML-ish syntax.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -175,7 +184,7 @@ pub fn parse_tree(input: &str, alpha: &mut Alphabet) -> Result<DataTree, XmlErro
     let mut tree = DataTree::new(nid, label, val);
     if !closed {
         let root = tree.root();
-        parse_children(&mut p, alpha, &mut tree, root, name)?;
+        parse_children(&mut p, alpha, &mut tree, root, name, 1)?;
     }
     p.skip_ws();
     if !p.rest().is_empty() {
@@ -184,12 +193,15 @@ pub fn parse_tree(input: &str, alpha: &mut Alphabet) -> Result<DataTree, XmlErro
     Ok(tree)
 }
 
+/// Parses the children of `parent`, which sits at nesting level
+/// `depth`, up to its close tag.
 fn parse_children(
     p: &mut Parser,
     alpha: &mut Alphabet,
     tree: &mut DataTree,
     parent: NodeRef,
     parent_name: &str,
+    depth: usize,
 ) -> Result<(), XmlError> {
     loop {
         p.skip_ws();
@@ -204,13 +216,16 @@ fn parse_children(
             p.expect(">")?;
             return Ok(());
         }
+        if depth >= MAX_TREE_DEPTH {
+            return Err(p.err(format!("tree nests deeper than {MAX_TREE_DEPTH} levels")));
+        }
         let (name, nid, val, closed) = p.parse_node_header(alpha)?;
         let label = alpha.intern(name);
         let child = tree
             .add_child(parent, nid, label, val)
             .map_err(|e| p.err(e.to_string()))?;
         if !closed {
-            parse_children(p, alpha, tree, child, name)?;
+            parse_children(p, alpha, tree, child, name, depth + 1)?;
         }
     }
 }
@@ -256,6 +271,35 @@ mod tests {
         let back = parse_tree(&text, &mut fresh).unwrap();
         assert_eq!(back.len(), t.len());
         assert_eq!(fresh.len(), 3);
+    }
+
+    /// A chain of `levels` nested elements, the innermost self-closing.
+    fn chain(levels: usize) -> String {
+        let mut text = String::new();
+        for i in 0..levels - 1 {
+            text.push_str(&format!("<a nid=\"{i}\" val=\"0\">"));
+        }
+        text.push_str(&format!("<a nid=\"{}\" val=\"0\"/>", levels - 1));
+        text.push_str(&"</a>".repeat(levels - 1));
+        text
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // The deepest accepted document parses on a 2 MiB stack, the
+        // size `std::thread` gives a spawned worker (the par_map pool
+        // that replays journals at recovery).
+        let t = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| parse_tree(&chain(MAX_TREE_DEPTH), &mut Alphabet::new()).map(|t| t.len()))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(t.unwrap(), MAX_TREE_DEPTH);
+        let err = parse_tree(&chain(MAX_TREE_DEPTH + 1), &mut Alphabet::new()).unwrap_err();
+        assert!(err.message.contains("deeper than"), "{err}");
+        // Far deeper input is refused at the bound, not by the stack.
+        assert!(parse_tree(&chain(100_000), &mut Alphabet::new()).is_err());
     }
 
     #[test]

@@ -822,8 +822,7 @@ impl ConjunctiveSession {
         let mut conj = iixml_core::ConjunctiveTree::new(&alpha);
         if let Some(ty) = source.declared_type() {
             let labels: Vec<_> = alpha.labels().collect();
-            let names: Vec<&str> = labels.iter().map(|&l| alpha.name(l)).collect();
-            let universal = IncompleteTree::universal(&labels, &names);
+            let universal = IncompleteTree::universal(&labels);
             let base = iixml_core::type_intersect::restrict_to_type(&universal, ty);
             conj = iixml_core::ConjunctiveTree::from_layers(vec![base]);
         }

@@ -39,18 +39,10 @@ fn paper_t() -> IncompleteTree {
         },
     );
     let mut ty = ConditionalTreeType::new();
-    let r = ty.add_symbol(
-        "r",
-        SymTarget::Node(Nid(0)),
-        Cond::eq(Rat::ZERO).to_intervals(),
-    );
-    let n = ty.add_symbol(
-        "n",
-        SymTarget::Node(Nid(1)),
-        Cond::eq(Rat::ZERO).to_intervals(),
-    );
-    let a = ty.add_symbol("a", SymTarget::Lab(A), Cond::ne(Rat::ZERO).to_intervals());
-    let b = ty.add_symbol("b", SymTarget::Lab(B), IntervalSet::all());
+    let r = ty.add_symbol(SymTarget::Node(Nid(0)), Cond::eq(Rat::ZERO).to_intervals());
+    let n = ty.add_symbol(SymTarget::Node(Nid(1)), Cond::eq(Rat::ZERO).to_intervals());
+    let a = ty.add_symbol(SymTarget::Lab(A), Cond::ne(Rat::ZERO).to_intervals());
+    let b = ty.add_symbol(SymTarget::Lab(B), IntervalSet::all());
     ty.set_mu(
         r,
         Disjunction::single(SAtom::new(vec![(n, Mult::One), (a, Mult::Star)])),
@@ -82,19 +74,11 @@ fn paper_t_prime() -> IncompleteTree {
         },
     );
     let mut ty = ConditionalTreeType::new();
-    let r1 = ty.add_symbol("r1", SymTarget::Node(Nid(0)), IntervalSet::empty());
-    let r2 = ty.add_symbol(
-        "r2",
-        SymTarget::Node(Nid(0)),
-        Cond::eq(Rat::ZERO).to_intervals(),
-    );
-    let n = ty.add_symbol(
-        "n",
-        SymTarget::Node(Nid(1)),
-        Cond::eq(Rat::ZERO).to_intervals(),
-    );
-    let a = ty.add_symbol("a", SymTarget::Lab(A), Cond::ne(Rat::ZERO).to_intervals());
-    let b = ty.add_symbol("b", SymTarget::Lab(B), IntervalSet::all());
+    let r1 = ty.add_symbol(SymTarget::Node(Nid(0)), IntervalSet::empty());
+    let r2 = ty.add_symbol(SymTarget::Node(Nid(0)), Cond::eq(Rat::ZERO).to_intervals());
+    let n = ty.add_symbol(SymTarget::Node(Nid(1)), Cond::eq(Rat::ZERO).to_intervals());
+    let a = ty.add_symbol(SymTarget::Lab(A), Cond::ne(Rat::ZERO).to_intervals());
+    let b = ty.add_symbol(SymTarget::Lab(B), IntervalSet::all());
     ty.set_mu(r1, Disjunction::leaf());
     // µ′(r2) = n a⋆ ∨ a⁺.
     ty.set_mu(

@@ -68,6 +68,16 @@ fn tree_parser_never_panics() {
         let mut alpha = Alphabet::new();
         let _ = parse_tree(&s, &mut alpha);
     });
+    // Nesting far past the bound must be refused, not overflow the
+    // parser's stack.
+    let levels = 100_000;
+    let mut deep = String::new();
+    for i in 0..levels {
+        deep.push_str(&format!("<a nid=\"{i}\" val=\"0\">"));
+    }
+    deep.push_str(&"</a>".repeat(levels));
+    let mut alpha = Alphabet::new();
+    assert!(parse_tree(&deep, &mut alpha).is_err());
 }
 
 #[test]
@@ -136,8 +146,8 @@ fn incomplete_xml_rejects_mutations_gracefully() {
             },
         );
         let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol("r", SymTarget::Node(Nid(0)), IntervalSet::all());
-        let a = ty.add_symbol("a", SymTarget::Lab(Label(1)), IntervalSet::all());
+        let r = ty.add_symbol(SymTarget::Node(Nid(0)), IntervalSet::all());
+        let a = ty.add_symbol(SymTarget::Lab(Label(1)), IntervalSet::all());
         ty.set_mu(r, Disjunction::single(SAtom::new(vec![(a, Mult::Star)])));
         ty.set_mu(a, Disjunction::leaf());
         ty.add_root(r);

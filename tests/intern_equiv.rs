@@ -29,8 +29,7 @@ use iixml_query::PsQuery;
 fn both_pipelines_serialized(width: usize, c: &Catalog, queries: &[PsQuery]) -> (String, String) {
     iixml_par::set_threads(Some(width));
     let labels: Vec<_> = c.alpha.labels().collect();
-    let names: Vec<&str> = labels.iter().map(|&l| c.alpha.name(l)).collect();
-    let mut fast = IncompleteTree::universal(&labels, &names);
+    let mut fast = IncompleteTree::universal(&labels);
     let mut slow = fast.clone();
     for q in queries {
         let tqa = query_answer_tree(q, &q.eval(&c.doc), &c.alpha).unwrap();
@@ -85,8 +84,7 @@ fn interner_ids_are_stable_across_runs_with_same_seed() {
                 let root = c.alpha.get("catalog").unwrap();
                 let queries = random_queries(&c.alpha, &c.ty, root, 2, 300, seed ^ 0x5EED);
                 let labels: Vec<_> = c.alpha.labels().collect();
-                let names: Vec<&str> = labels.iter().map(|&l| c.alpha.name(l)).collect();
-                let mut cur = IncompleteTree::universal(&labels, &names);
+                let mut cur = IncompleteTree::universal(&labels);
                 for q in &queries {
                     let tqa = query_answer_tree(q, &q.eval(&c.doc), &c.alpha).unwrap();
                     cur = intersect(&cur, &tqa).unwrap().trim();

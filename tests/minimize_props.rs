@@ -22,8 +22,7 @@ fn minimization_preserves_membership() {
         // Build WITHOUT the Refiner (which minimizes internally): raw
         // intersection chain.
         let labels: Vec<_> = c.alpha.labels().collect();
-        let names: Vec<&str> = labels.iter().map(|&l| c.alpha.name(l)).collect();
-        let mut cur = iixml_core::IncompleteTree::universal(&labels, &names);
+        let mut cur = iixml_core::IncompleteTree::universal(&labels);
         for q in &queries {
             let tqa = query_answer_tree(q, &q.eval(&c.doc), &c.alpha).unwrap();
             cur = intersect(&cur, &tqa).unwrap().trim();
@@ -60,8 +59,7 @@ fn minimization_preserves_prefix_predicates() {
         let q1 = catalog_query_price_below(&mut c.alpha, 250);
         let q2 = catalog_query_camera_pictures(&mut c.alpha);
         let labels: Vec<_> = c.alpha.labels().collect();
-        let names: Vec<&str> = labels.iter().map(|&l| c.alpha.name(l)).collect();
-        let mut cur = iixml_core::IncompleteTree::universal(&labels, &names);
+        let mut cur = iixml_core::IncompleteTree::universal(&labels);
         for q in [&q1, &q2] {
             let tqa = query_answer_tree(q, &q.eval(&c.doc), &c.alpha).unwrap();
             cur = intersect(&cur, &tqa).unwrap().trim();

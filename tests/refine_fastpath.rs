@@ -18,6 +18,11 @@
 //! auxiliary-query chains, where minimize merges and freezes symbols.
 //! Each test tallies the branches `trimmed()` and `minimized()` took on
 //! the shipping path and requires the ones its chains exist to cover.
+//!
+//! The same window chains and random typed chains also pin the
+//! fixpoint: refining a pair the knowledge already implies leaves its
+//! serialized bytes unchanged, so the text records what is known and
+//! not the order of the queries that taught it.
 
 use iixml_core::io::write_incomplete_xml;
 use iixml_core::refine::{intersect, intersect_reference, query_answer_tree};
@@ -115,7 +120,13 @@ fn window_query(k: usize, alpha: &mut Alphabet) -> PsQuery {
 
 /// A typed catalog session's chain: `fetches` distinct windows in
 /// random order, then `revisits` re-fetches of windows already asked.
-fn window_chain(products: usize, fetches: usize, revisits: usize, rng: &mut DetRng, t: &mut Tally) {
+/// Returns the alphabet, the typed start and the steps.
+fn window_steps(
+    products: usize,
+    fetches: usize,
+    revisits: usize,
+    rng: &mut DetRng,
+) -> (Alphabet, IncompleteTree, Vec<(PsQuery, Answer)>) {
     let c = catalog(products, rng.next_u64());
     let mut alpha = c.alpha.clone();
     let mut windows: Vec<usize> = (0..98).collect();
@@ -136,8 +147,12 @@ fn window_chain(products: usize, fetches: usize, revisits: usize, rng: &mut DetR
         })
         .collect();
     let labels: Vec<_> = alpha.labels().collect();
-    let names: Vec<&str> = labels.iter().map(|&l| alpha.name(l)).collect();
-    let start = restrict_to_type(&IncompleteTree::universal(&labels, &names), &c.ty);
+    let start = restrict_to_type(&IncompleteTree::universal(&labels), &c.ty);
+    (alpha, start, steps)
+}
+
+fn window_chain(products: usize, fetches: usize, revisits: usize, rng: &mut DetRng, t: &mut Tally) {
+    let (alpha, start, steps) = window_steps(products, fetches, revisits, rng);
     run_chain(&alpha, start, &steps, t);
 }
 
@@ -174,8 +189,7 @@ fn paper_chains_match_reference() {
     let mut alpha = blowup_alphabet();
     let queries = blowup_queries(&mut alpha, 5);
     let labels: Vec<_> = alpha.labels().collect();
-    let names: Vec<&str> = labels.iter().map(|&l| alpha.name(l)).collect();
-    let universal = IncompleteTree::universal(&labels, &names);
+    let universal = IncompleteTree::universal(&labels);
 
     let empty: Vec<(PsQuery, Answer)> = queries
         .iter()
@@ -214,9 +228,9 @@ fn paper_chains_match_reference() {
     };
     nodes.insert(Nid(0), info);
     let mut ty = ConditionalTreeType::new();
-    let r = ty.add_symbol("r", SymTarget::Node(Nid(0)), IntervalSet::all());
-    let a1 = ty.add_symbol("a1", SymTarget::Lab(a), IntervalSet::all());
-    let a2 = ty.add_symbol("a2", SymTarget::Lab(a), IntervalSet::all());
+    let r = ty.add_symbol(SymTarget::Node(Nid(0)), IntervalSet::all());
+    let a1 = ty.add_symbol(SymTarget::Lab(a), IntervalSet::all());
+    let a2 = ty.add_symbol(SymTarget::Lab(a), IntervalSet::all());
     let two = SAtom::new(vec![(a1, Mult::One), (a2, Mult::One)]);
     ty.set_mu(r, Disjunction::single(two));
     ty.set_mu(a1, Disjunction::leaf());
@@ -240,42 +254,133 @@ fn paper_chains_match_reference() {
     assert!(t.min_borrowed > 0, "minimized() never borrowed: {t:?}");
 }
 
+/// A random ps-query chain on a small catalog: the alphabet, the
+/// universal tree, its restriction to the catalog type, and the steps.
+/// The chain opens with a query the typed product cannot satisfy below
+/// a product (`price` is mandatory, the empty answer says no product of
+/// value 79 has one).
+fn random_steps(
+    rng: &mut DetRng,
+) -> (
+    Alphabet,
+    IncompleteTree,
+    IncompleteTree,
+    Vec<(PsQuery, Answer)>,
+) {
+    let seed = rng.below(500);
+    let c = catalog(3, seed);
+    let mut alpha = c.alpha.clone();
+    let root = alpha.get("catalog").unwrap();
+    let mut queries = vec![parse_ps_query("catalog/product[= 79]/price", &mut alpha).unwrap()];
+    queries.extend(iixml_gen::random_queries(
+        &alpha,
+        &c.ty,
+        root,
+        4,
+        300,
+        seed ^ 0x1D5,
+    ));
+    let steps: Vec<(PsQuery, Answer)> = queries
+        .into_iter()
+        .map(|q| {
+            let ans = q.eval(&c.doc);
+            (q, ans)
+        })
+        .collect();
+    assert!(steps[0].1.is_empty(), "catalog products carry value 0");
+    let labels: Vec<_> = alpha.labels().collect();
+    let universal = IncompleteTree::universal(&labels);
+    let typed = restrict_to_type(&universal, &c.ty);
+    (alpha, universal, typed, steps)
+}
+
 /// Random ps-query chains on a small catalog, from the universal tree
-/// and from the typed one. Each chain opens with a query the typed
-/// product cannot satisfy below a product (`price` is mandatory, the
-/// empty answer says no product of value 79 has one), so the product
-/// carries reachable useless symbols and `trimmed()` must rebuild.
+/// and from the typed one. The opening query leaves the product with
+/// reachable useless symbols, so `trimmed()` must rebuild.
 #[test]
 fn random_query_chains_match_reference() {
     let mut t = Tally::default();
     check_with("refine_fastpath_random_chains", 8, |rng| {
-        let seed = rng.below(500);
-        let c = catalog(3, seed);
-        let mut alpha = c.alpha.clone();
-        let root = alpha.get("catalog").unwrap();
-        let mut queries = vec![parse_ps_query("catalog/product[= 79]/price", &mut alpha).unwrap()];
-        queries.extend(iixml_gen::random_queries(
-            &alpha,
-            &c.ty,
-            root,
-            4,
-            300,
-            seed ^ 0x1D5,
-        ));
-        let steps: Vec<(PsQuery, Answer)> = queries
-            .into_iter()
-            .map(|q| {
-                let ans = q.eval(&c.doc);
-                (q, ans)
-            })
-            .collect();
-        assert!(steps[0].1.is_empty(), "catalog products carry value 0");
-        let labels: Vec<_> = alpha.labels().collect();
-        let names: Vec<&str> = labels.iter().map(|&l| alpha.name(l)).collect();
-        let universal = IncompleteTree::universal(&labels, &names);
-        run_chain(&alpha, restrict_to_type(&universal, &c.ty), &steps, &mut t);
+        let (alpha, universal, typed, steps) = random_steps(rng);
+        run_chain(&alpha, typed, &steps, &mut t);
         run_chain(&alpha, universal, &steps, &mut t);
     });
     assert!(t.trim_owned > 0, "trimmed() never rebuilt: {t:?}");
     assert!(t.trim_borrowed > 0, "trimmed() never borrowed: {t:?}");
+}
+
+/// Re-refinements of implied pairs: how many left the knowledge's
+/// structure unchanged, and how many changed it.
+#[derive(Default, Debug)]
+struct Fixpoints {
+    unchanged: usize,
+    restructured: usize,
+}
+
+/// Refines `steps` from `start`. After each step, every pair refined so
+/// far is implied by the knowledge (Theorem 3.4: refining it again
+/// leaves `rep` unchanged), and each is refined again, one at a time.
+/// Whenever that leaves the structure (the `Debug` form: data nodes,
+/// each symbol's target, condition and µ, and the roots) unchanged,
+/// the serialized knowledge must be byte-identical. With `strict`, every such
+/// re-refinement must leave the structure unchanged too.
+fn check_implied_pairs(
+    alpha: &Alphabet,
+    start: IncompleteTree,
+    steps: &[(PsQuery, Answer)],
+    strict: bool,
+    f: &mut Fixpoints,
+) {
+    let mut refiner = Refiner::from_tree(start);
+    for (k, (q, ans)) in steps.iter().enumerate() {
+        refiner.refine(alpha, q, ans).unwrap();
+        let known = write_incomplete_xml(refiner.current(), alpha);
+        let shape = debug(refiner.current());
+        for (i, (q, ans)) in steps[..=k].iter().enumerate() {
+            let mut again = Refiner::from_tree(refiner.current().clone());
+            again.refine(alpha, q, ans).unwrap();
+            if debug(again.current()) != shape {
+                assert!(
+                    !strict,
+                    "after step {k}: re-refining pair {i} restructured the knowledge"
+                );
+                f.restructured += 1;
+                continue;
+            }
+            assert_eq!(
+                write_incomplete_xml(again.current(), alpha),
+                known,
+                "after step {k}: re-refining implied pair {i} changed the bytes"
+            );
+            f.unchanged += 1;
+        }
+    }
+}
+
+/// Knowledge bytes do not record query history. On seeded typed catalog
+/// sessions (price-window Fetches, then revisits) re-refining any pair
+/// the knowledge implies is a byte-level fixpoint. On the random typed
+/// chains above it is one whenever it leaves the structure unchanged:
+/// there a re-refinement can add an alternative that another already
+/// covers (an atom with a narrower child symbol), which changes `rep`
+/// not at all but the structure does.
+#[test]
+fn implied_pairs_are_byte_fixpoints() {
+    let mut f = Fixpoints::default();
+    check_with("refine_fastpath_fixpoint_windows_16", 3, |rng| {
+        let (alpha, start, steps) = window_steps(16, 24, 6, rng);
+        check_implied_pairs(&alpha, start, &steps, true, &mut f);
+    });
+    check_with("refine_fastpath_fixpoint_windows_64", 1, |rng| {
+        let (alpha, start, steps) = window_steps(64, 32, 8, rng);
+        check_implied_pairs(&alpha, start, &steps, true, &mut f);
+    });
+    check_with("refine_fastpath_fixpoint_random_chains", 8, |rng| {
+        let (alpha, _, typed, steps) = random_steps(rng);
+        check_implied_pairs(&alpha, typed, &steps, false, &mut f);
+    });
+    assert!(
+        f.unchanged > f.restructured,
+        "most re-refinements should be structural fixpoints: {f:?}"
+    );
 }

@@ -855,3 +855,106 @@ fn rebase_keeps_the_snapshot_state_under_a_fault_at_every_op() {
     let _ = std::fs::remove_dir_all(&image);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `text` with an old-style history name on every symbol, the form
+/// knowledge text took before symbols lost their names.
+fn add_history_names(text: &str) -> String {
+    text.replace(
+        "<symbol ",
+        "<symbol name=\"product&amp;product@q1&amp;any:price@bar\" ",
+    )
+}
+
+/// A journal written before symbols lost their names still recovers:
+/// one whose `Open` record and snapshot hold named knowledge text,
+/// encoded by the real `Record` and `Snapshot` encoders, recovers to
+/// the same knowledge as the same journal written name-free: the
+/// snapshot's knowledge with the Refines after it replayed, and the
+/// `Open` record's initial knowledge, which resets reload.
+#[test]
+fn named_knowledge_text_recovers_like_the_name_free_form() {
+    use iixml_core::type_intersect::restrict_to_type;
+    use iixml_store::{Record, Snapshot};
+
+    let mut rng = DetRng::new(testkit::base_seed() ^ 0x0_1D_F0_27);
+    let mut cat = iixml_gen::catalog(4, rng.next_u64());
+    let queries: Vec<PsQuery> = (0..6)
+        .map(|_| iixml_gen::catalog_query_price_below(&mut cat.alpha, rng.range_i64(50, 500)))
+        .collect();
+    let alpha = cat.alpha.clone();
+    let names: Vec<String> = alpha.labels().map(|l| alpha.name(l).to_string()).collect();
+    let labels: Vec<_> = alpha.labels().collect();
+    let initial = restrict_to_type(&IncompleteTree::universal(&labels), &cat.ty);
+
+    // Journals the same session with its knowledge text spelled by
+    // `spell`; returns the live knowledge at the end.
+    let journal_with = |dir: &Path, spell: fn(&str) -> String| -> String {
+        let mut refiner = Refiner::from_tree(initial.clone());
+        let mut journal = SessionJournal::create(dir).unwrap();
+        journal.set_snapshot_every(None);
+        let initial_text = spell(&write_incomplete_xml(&initial, &alpha));
+        journal
+            .append(&Record::Open {
+                alpha: names.clone(),
+                initial: initial_text.clone(),
+            })
+            .unwrap();
+        let refine = |journal: &mut SessionJournal, refiner: &mut Refiner, q: &PsQuery| {
+            let ans = q.eval(&cat.doc);
+            refiner.refine(&alpha, q, &ans).unwrap();
+            journal.log_refine(&alpha, q, &ans).unwrap();
+        };
+        for q in &queries[..3] {
+            refine(&mut journal, &mut refiner, q);
+        }
+        let snap = Snapshot {
+            seq: journal.seq(),
+            alpha: names.clone(),
+            initial: Some(initial_text),
+            knowledge: spell(&ser(&refiner, &alpha)),
+        };
+        let (file, crc) = snap.write(dir).unwrap();
+        journal
+            .append(&Record::SnapshotRef {
+                seq: snap.seq,
+                file,
+                crc,
+            })
+            .unwrap();
+        for q in &queries[3..] {
+            refine(&mut journal, &mut refiner, q);
+        }
+        journal.sync().unwrap();
+        ser(&refiner, &alpha)
+    };
+
+    let plain_dir = scratch("names-plain");
+    let named_dir = scratch("names-old-form");
+    let want = journal_with(&plain_dir, str::to_string);
+    assert_eq!(journal_with(&named_dir, add_history_names), want);
+    let snapshot_text = std::fs::read(
+        iixml_store::snapshot::list(&named_dir).unwrap()[0]
+            .1
+            .clone(),
+    )
+    .unwrap();
+    assert!(
+        String::from_utf8_lossy(&snapshot_text).contains("name=\"product&amp;product@q1"),
+        "the old-form journal must hold named knowledge text"
+    );
+
+    let plain = recover(&plain_dir, RecoveryMode::Strict).unwrap();
+    let named = recover(&named_dir, RecoveryMode::Strict).unwrap();
+    for r in [&plain, &named] {
+        assert_eq!(r.status, RecoveryStatus::Clean);
+        assert_eq!(r.from_snapshot, Some(4), "replay starts from the snapshot");
+        assert_eq!(write_incomplete_xml(r.refiner.current(), &r.alpha), want);
+    }
+    assert_eq!(
+        write_incomplete_xml(named.initial.as_ref().unwrap(), &named.alpha),
+        write_incomplete_xml(plain.initial.as_ref().unwrap(), &plain.alpha)
+    );
+    drop((plain, named));
+    let _ = std::fs::remove_dir_all(&plain_dir);
+    let _ = std::fs::remove_dir_all(&named_dir);
+}

@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 
 type Structure = (
     BTreeMap<Nid, NodeInfo>,
-    Vec<(String, SymTarget, IntervalSet, Disjunction)>,
+    Vec<(SymTarget, IntervalSet, Disjunction)>,
     Vec<Sym>,
 );
 
@@ -49,12 +49,7 @@ fn structure(it: &IncompleteTree) -> Structure {
         .syms()
         .map(|s| {
             let info = ty.info(s);
-            (
-                info.name.clone(),
-                info.target,
-                info.cond.clone(),
-                ty.mu(s).clone(),
-            )
+            (info.target, info.cond.clone(), ty.mu(s).clone())
         })
         .collect();
     (it.nodes().clone(), syms, ty.roots().to_vec())
@@ -161,14 +156,14 @@ fn random_itree(rng: &mut DetRng, labels: &[Label]) -> IncompleteTree {
         .collect();
     let mut ty = ConditionalTreeType::new();
     let n_syms = rng.range_usize(1, 8);
-    for i in 0..n_syms {
+    for _ in 0..n_syms {
         let target = if n_nodes > 0 && rng.bool(0.5) {
             SymTarget::Node(Nid(rng.below(n_nodes as u64)))
         } else {
             SymTarget::Lab(*rng.choose(labels))
         };
         let cond = random_cond(rng);
-        ty.add_symbol(format!("s{i}"), target, cond);
+        ty.add_symbol(target, cond);
     }
     for s in 0..n_syms as u32 {
         let atoms = (0..rng.range_usize(0, 3))
@@ -203,7 +198,7 @@ fn with_junk(it: &IncompleteTree, rng: &mut DetRng, labels: &[Label]) -> Incompl
         nodes.insert(Nid(1 << 40), NodeInfo { label, value });
     }
     if rng.bool(0.3) {
-        let orphan = ty.add_symbol("orphan", SymTarget::Lab(label), IntervalSet::all());
+        let orphan = ty.add_symbol(SymTarget::Lab(label), IntervalSet::all());
         ty.set_mu(orphan, Disjunction::leaf());
     }
     let hosts: Vec<Sym> = ty
@@ -211,7 +206,7 @@ fn with_junk(it: &IncompleteTree, rng: &mut DetRng, labels: &[Label]) -> Incompl
         .filter(|&s| !ty.mu(s).atoms().is_empty())
         .collect();
     if !hosts.is_empty() && rng.bool(0.5) {
-        let dead = ty.add_symbol("dead", SymTarget::Lab(label), IntervalSet::all());
+        let dead = ty.add_symbol(SymTarget::Lab(label), IntervalSet::all());
         ty.set_mu(
             dead,
             Disjunction::single(SAtom::new(vec![(dead, Mult::One)])),
