@@ -21,11 +21,17 @@
 
 use crate::ctt::{ConditionalTreeType, Disjunction, SAtom, Sym, SymTarget};
 use crate::itree::{IncompleteTree, NodeInfo};
+use iixml_obs::{keys, LazyCounter};
 use iixml_query::{PsQuery, QNodeRef};
 use iixml_tree::{DataTree, Label, Mult, Nid};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
+
+/// Asks answered without building `q(T)`.
+static OBS_ASK_FROM_KNOWN: LazyCounter = LazyCounter::new(keys::CORE_ASK_FROM_KNOWN);
+/// Asks that fell back to building `q(T)`.
+static OBS_ASK_FROM_ANSWER_TYPE: LazyCounter = LazyCounter::new(keys::CORE_ASK_FROM_ANSWER_TYPE);
 
 /// The position component of an answer-type symbol: paired with a query
 /// node, or inside a bar-extracted subtree.
@@ -51,10 +57,22 @@ pub struct QueryOnIncomplete {
 /// completion generation (Theorem 3.19).
 #[derive(Clone, Debug)]
 pub struct MatchSets {
-    /// `poss[&m][s.ix()]`: some tree of `rep(T_s)` matches `q_m`.
-    pub poss: HashMap<QNodeRef, Vec<bool>>,
-    /// `cert[&m][s.ix()]`: every tree of `rep(T_s)` matches `q_m`.
-    pub cert: HashMap<QNodeRef, Vec<bool>>,
+    /// `poss[m.0][s.ix()]`: some tree of `rep(T_s)` matches `q_m`.
+    poss: Vec<Vec<bool>>,
+    /// `cert[m.0][s.ix()]`: every tree of `rep(T_s)` matches `q_m`.
+    cert: Vec<Vec<bool>>,
+}
+
+impl MatchSets {
+    /// Is `s` in `Poss(m)`: does some tree of `rep(T_s)` match `q_m`?
+    pub fn poss(&self, m: QNodeRef, s: Sym) -> bool {
+        self.poss[m.0 as usize][s.ix()]
+    }
+
+    /// Is `s` in `Cert(m)`: does every tree of `rep(T_s)` match `q_m`?
+    pub fn cert(&self, m: QNodeRef, s: Sym) -> bool {
+        self.cert[m.0 as usize][s.ix()]
+    }
 }
 
 /// Computes [`MatchSets`] bottom-up over the query pattern, masking out
@@ -63,23 +81,26 @@ pub struct MatchSets {
 pub fn match_sets(it: &IncompleteTree, q: &PsQuery) -> MatchSets {
     let ty = it.ty();
     let prod = ty.productive();
-    let underlying = |s: Sym| -> Option<Label> {
-        match ty.info(s).target {
+    // The label each productive symbol stands for, looked up once.
+    let underlying: Vec<Option<Label>> = ty
+        .syms()
+        .map(|s| match ty.info(s).target {
+            _ if !prod[s.ix()] => None,
             SymTarget::Lab(l) => Some(l),
             SymTarget::Node(n) => it.node_info(n).map(|i| i.label),
-        }
-    };
+        })
+        .collect();
     let mut sets = MatchSets {
-        poss: HashMap::new(),
-        cert: HashMap::new(),
+        poss: vec![Vec::new(); q.len()],
+        cert: vec![Vec::new(); q.len()],
     };
     // Reversed preorder visits children before parents.
     for &m in q.preorder().iter().rev() {
-        let kids = q.children(m).to_vec();
+        let kids = q.children(m);
         let mut poss = vec![false; ty.sym_count()];
         let mut cert = vec![false; ty.sym_count()];
         for s in ty.syms() {
-            if !prod[s.ix()] || underlying(s) != Some(q.label(m)) {
+            if underlying[s.ix()] != Some(q.label(m)) {
                 continue;
             }
             let cond = &ty.info(s).cond;
@@ -89,7 +110,7 @@ pub fn match_sets(it: &IncompleteTree, q: &PsQuery) -> MatchSets {
                 poss[s.ix()] = kids.is_empty()
                     || ty.mu(s).atoms().iter().any(|a| {
                         kids.iter()
-                            .all(|&mi| a.entries().iter().any(|&(c, _)| sets.poss[&mi][c.ix()]))
+                            .all(|&mi| a.entries().iter().any(|&(c, _)| sets.poss(mi, c)))
                     });
             }
             if c_cond {
@@ -98,30 +119,223 @@ pub fn match_sets(it: &IncompleteTree, q: &PsQuery) -> MatchSets {
                         kids.iter().all(|&mi| {
                             a.entries()
                                 .iter()
-                                .any(|&(c, mu)| mu.mandatory() && sets.cert[&mi][c.ix()])
+                                .any(|&(c, mu)| mu.mandatory() && sets.cert(mi, c))
                         })
                     });
             }
         }
-        sets.poss.insert(m, poss);
-        sets.cert.insert(m, cert);
+        sets.poss[m.0 as usize] = poss;
+        sets.cert[m.0 as usize] = cert;
     }
     sets
+}
+
+/// Whether local knowledge fixes a query's answer, decided by
+/// [`IncompleteTree::determination`] without building `q(T)`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Determination {
+    /// No root symbol can match: the answer is certainly empty.
+    Empty,
+    /// The answer is certainly nonempty and involves only data nodes:
+    /// it is `q` evaluated on the known data tree.
+    Known,
+    /// The dry run cannot tell; only `q(T)` can.
+    Undecided,
+}
+
+/// The answer to a query from local knowledge alone (Section 3.3).
+#[derive(Debug)]
+pub enum Verdict {
+    /// The knowledge determines the answer (Corollary 3.15); `None` is
+    /// the empty answer.
+    Complete(Option<DataTree>),
+    /// It does not: `q(T)` describes the possible answers
+    /// (Theorem 3.14).
+    Partial(QueryOnIncomplete),
+}
+
+impl Verdict {
+    /// The decision on `q(T)` itself: complete with its one answer when
+    /// it is fully answerable (Corollary 3.15), partial otherwise.
+    pub fn from_answer_type(qt: QueryOnIncomplete) -> Verdict {
+        if qt.fully_answerable() {
+            Verdict::Complete(qt.the_answer())
+        } else {
+            Verdict::Partial(qt)
+        }
+    }
+}
+
+/// `q` evaluated on the known data tree, with every node's children in
+/// ascending id order, as `data_tree()` orders them.
+fn answer_on_known(q: &PsQuery, known: &DataTree) -> Option<DataTree> {
+    let mut t = q.eval(known).tree?;
+    t.sort_children_by_nid();
+    Some(t)
 }
 
 struct Builder<'a> {
     it: &'a IncompleteTree,
     q: &'a PsQuery,
-    poss: HashMap<QNodeRef, Vec<bool>>,
-    cert: HashMap<QNodeRef, Vec<bool>>,
+    sets: MatchSets,
 }
 
-impl Builder<'_> {
-    /// Computes the `Poss(m)` / `Cert(m)` sets (proof of Theorem 3.14).
-    fn compute_sets(&mut self) {
-        let sets = match_sets(self.it, self.q);
-        self.poss = sets.poss;
-        self.cert = sets.cert;
+impl<'a> Builder<'a> {
+    /// Computes the `Poss(m)` / `Cert(m)` sets (proof of Theorem 3.14)
+    /// on a trim input, whose symbols are all productive.
+    fn new(it: &'a IncompleteTree, q: &'a PsQuery) -> Builder<'a> {
+        debug_assert!(it.ty().productive().iter().all(|&p| p), "input is trim");
+        Builder {
+            it,
+            q,
+            sets: match_sets(it, q),
+        }
+    }
+
+    /// The input's root symbols that possibly match the query root.
+    fn roots(&self) -> impl Iterator<Item = Sym> + '_ {
+        let rq = self.q.root();
+        self.it
+            .ty()
+            .roots()
+            .iter()
+            .copied()
+            .filter(move |&s| self.sets.poss(rq, s))
+    }
+
+    /// Empty answer possible iff some (productive) root is not certain.
+    fn empty_possible(&self) -> bool {
+        let rq = self.q.root();
+        self.it.ty().roots().iter().any(|&s| !self.sets.cert(rq, s))
+    }
+
+    /// The successor rule of the construction, written once for
+    /// [`build`](Self::build) and the dry run
+    /// [`reaches_only_data_nodes`](Self::reaches_only_data_nodes): calls
+    /// `visit(i, c, w, pos)` for every entry `(c, w)` that the answer
+    /// µ of the pair `(s, at)` keeps from the `i`-th surviving atom of
+    /// `µ(s)`, where `pos` is the position of the entry's answer symbol.
+    /// Returns the number of surviving atoms.
+    ///
+    /// * Bar-extracted positions and barred query leaves carry every
+    ///   atom through verbatim (the whole subtree is in the answer).
+    /// * An unbarred query leaf extracts nothing below: one empty atom.
+    /// * At an internal query node `m`, an atom survives when every
+    ///   child subquery has an entry that can serve it; the kept entries
+    ///   come child by child (children carry distinct labels, so each
+    ///   entry serves at most one).
+    fn successors(
+        &self,
+        s: Sym,
+        at: QPos,
+        visit: &mut impl FnMut(usize, Sym, Mult, QPos),
+    ) -> usize {
+        let atoms = self.it.ty().mu(s).atoms();
+        let m = match at {
+            QPos::At(m) if !self.q.children(m).is_empty() => m,
+            QPos::At(m) if !self.q.barred(m) => return 1,
+            _ => {
+                for (i, atom) in atoms.iter().enumerate() {
+                    for &(c, w) in atom.entries() {
+                        visit(i, c, w, QPos::Bar);
+                    }
+                }
+                return atoms.len();
+            }
+        };
+        let kids = self.q.children(m);
+        let serves = |c: Sym, mi: QNodeRef| self.sets.poss(mi, c);
+        let mut kept = 0;
+        for atom in atoms {
+            let survives = kids
+                .iter()
+                .all(|&mi| atom.entries().iter().any(|&(c, _)| serves(c, mi)));
+            if !survives {
+                continue; // some child subquery is unsatisfiable here
+            }
+            for &mi in kids {
+                for &(c, w) in atom.entries() {
+                    if serves(c, mi) {
+                        visit(kept, c, w, QPos::At(mi));
+                    }
+                }
+            }
+            kept += 1;
+        }
+        kept
+    }
+
+    /// The dry run of [`build`](Self::build): walks the `(s, pos)` pairs
+    /// it would reach from the possible roots and reports whether every
+    /// reached `s` targets a data node. It creates no symbols,
+    /// disjunctions or trees.
+    fn reaches_only_data_nodes(&self) -> bool {
+        let ty = self.it.ty();
+        let width = self.q.len() + 1;
+        let slot = |s: Sym, pos: QPos| {
+            s.ix() * width
+                + match pos {
+                    QPos::At(m) => m.0 as usize,
+                    QPos::Bar => self.q.len(),
+                }
+        };
+        let mut seen = vec![false; ty.sym_count() * width];
+        let mut stack: Vec<(Sym, QPos)> = Vec::new();
+        for s in self.roots() {
+            let pair = (s, QPos::At(self.q.root()));
+            seen[slot(pair.0, pair.1)] = true;
+            stack.push(pair);
+        }
+        while let Some((s, pos)) = stack.pop() {
+            if let SymTarget::Lab(_) = ty.info(s).target {
+                return false;
+            }
+            self.successors(s, pos, &mut |_, c, _, p| {
+                let k = slot(c, p);
+                if !seen[k] {
+                    seen[k] = true;
+                    stack.push((c, p));
+                }
+            });
+        }
+        true
+    }
+
+    /// See [`IncompleteTree::determination`].
+    fn determination(&self) -> Determination {
+        if self.roots().next().is_none() {
+            Determination::Empty
+        } else if !self.empty_possible() && self.reaches_only_data_nodes() {
+            Determination::Known
+        } else {
+            Determination::Undecided
+        }
+    }
+
+    /// `q(T)`: the answer type, over the data nodes it targets, trimmed.
+    fn answer_type(&self) -> QueryOnIncomplete {
+        let (ty, empty_possible) = self.build();
+        // Only the data nodes the answer type targets: the rest would be
+        // dropped by the trim below anyway.
+        let nodes: BTreeMap<Nid, NodeInfo> = ty
+            .syms()
+            .filter_map(|s| match ty.info(s).target {
+                SymTarget::Node(n) => self.it.node_info(n).map(|info| (n, info)),
+                SymTarget::Lab(_) => None,
+            })
+            .collect();
+        // Infallible: the answer type only targets nodes of the input,
+        // which is well formed.
+        let tree =
+            IncompleteTree::new(nodes, ty).expect("answer type reuses the input's data nodes");
+        let tree = match tree.trimmed() {
+            Cow::Owned(t) => t,
+            Cow::Borrowed(_) => tree,
+        };
+        QueryOnIncomplete {
+            tree,
+            empty_possible,
+        }
     }
 
     /// Builds the answer type. Returns the new conditional tree type.
@@ -151,119 +365,69 @@ impl Builder<'_> {
 
         // Roots: (s, root_q) for possible root symbols.
         let rq = self.q.root();
-        let mut roots = Vec::new();
-        for &s in ty.roots() {
-            if self.poss[&rq][s.ix()] {
-                let p = ensure(&mut out, &mut worklist, &mut pair_of, s, QPos::At(rq));
-                roots.push(p);
-            }
-        }
+        let roots = self
+            .roots()
+            .map(|s| ensure(&mut out, &mut worklist, &mut pair_of, s, QPos::At(rq)))
+            .collect();
         out.set_roots(roots);
 
-        // Saturate.
+        // Saturate: the answer symbols are numbered in worklist order,
+        // so the `p`-th pair popped is answer symbol `p`.
         let mut done = 0;
-        while done < worklist.len() {
-            let (s, pos) = worklist[done];
+        while let Some(&(s, pos)) = worklist.get(done) {
+            let mu = self.mu(s, pos, &mut |c, p| {
+                ensure(&mut out, &mut worklist, &mut pair_of, c, p)
+            });
+            out.set_mu(Sym(done as u32), mu);
             done += 1;
-            let p = pair_of[&(s, pos)];
-            let mu = match pos {
-                QPos::Bar => self.bar_mu(s, &mut |sy| {
-                    ensure(&mut out, &mut worklist, &mut pair_of, sy, QPos::Bar)
-                }),
-                QPos::At(m) => {
-                    if self.q.children(m).is_empty() {
-                        if self.q.barred(m) {
-                            self.bar_mu(s, &mut |sy| {
-                                ensure(&mut out, &mut worklist, &mut pair_of, sy, QPos::Bar)
-                            })
-                        } else {
-                            // Unbarred leaf: nothing below is extracted.
-                            Disjunction::leaf()
-                        }
-                    } else {
-                        self.match_mu(s, m, &mut |sy, pos| {
-                            ensure(&mut out, &mut worklist, &mut pair_of, sy, pos)
-                        })
-                    }
-                }
-            };
-            out.set_mu(p, mu);
         }
-
-        // Empty answer possible iff some productive root is not certain.
-        let prod = ty.productive();
-        let empty_possible = ty
-            .roots()
-            .iter()
-            .any(|&s| prod[s.ix()] && !self.cert[&rq][s.ix()]);
-        (out, empty_possible)
+        (out, self.empty_possible())
     }
 
-    /// µ for bar-extracted positions: carry the input type through
-    /// verbatim (the whole subtree is part of the answer).
-    fn bar_mu(&self, s: Sym, ensure: &mut dyn FnMut(Sym) -> Sym) -> Disjunction {
-        let ty = self.it.ty();
-        let atoms = ty
-            .mu(s)
-            .atoms()
-            .iter()
-            .map(|a| SAtom::new(a.entries().iter().map(|&(c, m)| (ensure(c), m)).collect()))
-            .collect();
-        Disjunction(atoms)
-    }
-
-    /// µ for a matched internal query node `m` (the heart of
-    /// Theorem 3.14): keep only entries that can serve some child
-    /// subquery, weaken multiplicities for possible-but-not-certain
-    /// matches, and expand disjunctively so every child subquery
-    /// contributes at least one answer node.
-    fn match_mu(
-        &self,
-        s: Sym,
-        m: QNodeRef,
-        ensure: &mut dyn FnMut(Sym, QPos) -> Sym,
-    ) -> Disjunction {
-        let ty = self.it.ty();
-        let kids = self.q.children(m);
-        let mut out_atoms: Vec<SAtom> = Vec::new();
-        'atoms: for atom in ty.mu(s).atoms() {
-            // Group the surviving entries by the child subquery they can
-            // serve (children have distinct labels, so each entry serves
-            // at most one).
-            let mut groups: Vec<Vec<(Sym, Mult)>> = Vec::with_capacity(kids.len());
-            for &mi in kids {
-                let mut group = Vec::new();
-                for &(c, w) in atom.entries() {
-                    if self.poss[&mi][c.ix()] {
-                        // Weaken multiplicities for possible-but-not-
-                        // certain matches: such an input child may
-                        // produce no answer node.
-                        let w2 = if self.cert[&mi][c.ix()] {
-                            w
-                        } else {
-                            match w {
-                                Mult::One => Mult::Opt,
-                                Mult::Plus => Mult::Star,
-                                other => other,
-                            }
-                        };
-                        group.push((c, w2));
-                    }
-                }
-                if group.is_empty() {
-                    continue 'atoms; // child subquery unsatisfiable here
-                }
-                groups.push(group);
+    /// The answer µ of the pair `(s, at)` over the entries
+    /// [`successors`](Self::successors) keeps. Carried positions copy
+    /// the atoms. At a matched internal query node (the heart of
+    /// Theorem 3.14) multiplicities are weakened for
+    /// possible-but-not-certain matches, and atoms are expanded
+    /// disjunctively so every child subquery contributes at least one
+    /// answer node.
+    fn mu(&self, s: Sym, at: QPos, ensure: &mut dyn FnMut(Sym, QPos) -> Sym) -> Disjunction {
+        let mut atoms: Vec<Vec<(Sym, Mult, QPos)>> = Vec::new();
+        let kept = self.successors(s, at, &mut |i, c, w, pos| {
+            let w = match pos {
+                // Such an input child may produce no answer node.
+                QPos::At(mi) if !self.sets.cert(mi, c) => match w {
+                    Mult::One => Mult::Opt,
+                    Mult::Plus => Mult::Star,
+                    other => other,
+                },
+                _ => w,
+            };
+            if atoms.len() <= i {
+                atoms.resize_with(i + 1, Vec::new);
             }
-            // Each group must contribute >= 1 answer node: if no entry is
-            // already mandatory, expand over which one is promoted.
+            atoms[i].push((ensure(c, pos), w, pos));
+        });
+        atoms.resize_with(kept, Vec::new);
+        let carried = match at {
+            QPos::At(m) => self.q.children(m).is_empty(),
+            QPos::Bar => true,
+        };
+        if carried {
+            let atoms = atoms
+                .into_iter()
+                .map(|a| SAtom::new(a.into_iter().map(|(c, w, _)| (c, w)).collect()))
+                .collect();
+            return Disjunction(atoms);
+        }
+        let mut out_atoms: Vec<SAtom> = Vec::new();
+        for atom in &atoms {
+            // Each group (the entries serving one child subquery) must
+            // contribute >= 1 answer node: if no entry is already
+            // mandatory, expand over which one is promoted.
             let mut per_group: Vec<Vec<Vec<(Sym, Mult)>>> = Vec::new();
-            for (gi, group) in groups.iter().enumerate() {
-                let mi = kids[gi];
-                let mapped: Vec<(Sym, Mult)> = group
-                    .iter()
-                    .map(|&(c, w)| (ensure(c, QPos::At(mi)), w))
-                    .collect();
+            for group in atom.chunk_by(|a, b| a.2 == b.2) {
+                let mapped: Vec<(Sym, Mult)> = group.iter().map(|&(c, w, _)| (c, w)).collect();
                 if mapped.iter().any(|&(_, w)| w.mandatory()) {
                     per_group.push(vec![mapped]);
                 } else {
@@ -318,37 +482,48 @@ impl IncompleteTree {
     /// of answers `{ q(T0) | T0 ∈ rep(T) }` (Theorem 3.14), along with
     /// whether the empty answer is possible.
     pub fn query(&self, q: &PsQuery) -> QueryOnIncomplete {
-        let trimmed = self.trimmed();
-        let mut b = Builder {
-            it: &trimmed,
-            q,
-            poss: HashMap::new(),
-            cert: HashMap::new(),
-        };
-        b.compute_sets();
-        let (ty, empty_possible) = b.build();
-        // Only the data nodes the answer type targets: the rest would be
-        // dropped by the trim below anyway.
-        let nodes: BTreeMap<Nid, NodeInfo> = ty
-            .syms()
-            .filter_map(|s| match ty.info(s).target {
-                SymTarget::Node(n) => trimmed.node_info(n).map(|info| (n, info)),
-                SymTarget::Lab(_) => None,
-            })
-            .collect();
-        // Infallible: the answer type only targets nodes of `trimmed`,
-        // which came from a well-formed input.
-        let tree =
-            IncompleteTree::new(nodes, ty).expect("answer type reuses the input's data nodes");
-        let tree = match tree.trimmed() {
-            Cow::Owned(t) => t,
-            Cow::Borrowed(_) => tree,
-        };
-        QueryOnIncomplete {
-            tree,
-            empty_possible,
-        }
+        Builder::new(&self.trimmed(), q).answer_type()
     }
+
+    /// Decides full answerability (Corollary 3.15) by a dry run of the
+    /// `q(T)` construction, without building it. [`Determination::Known`]
+    /// means the empty answer is impossible and every pair the
+    /// construction reaches from the possible roots has a node-targeted
+    /// symbol. The useful symbols of the trimmed `q(T)` are among those
+    /// pairs, so `q(T)` is then fully answerable and its one answer is
+    /// `q` on the known data tree: ps-queries have no negation, so a
+    /// match there is a match in every represented world. The dry run
+    /// may reach pairs the trim would drop, so it errs only towards
+    /// [`Determination::Undecided`].
+    pub fn determination(&self, q: &PsQuery) -> Determination {
+        Builder::new(&self.trimmed(), q).determination()
+    }
+}
+
+/// [`Refiner::answer`](crate::Refiner::answer) on a trim tree: the dry
+/// run, then `q` on the data tree `known()` supplies when it passes,
+/// otherwise `q(T)` built from the same match sets.
+pub(crate) fn answer_trim<'d>(
+    trim: &IncompleteTree,
+    q: &PsQuery,
+    known: impl FnOnce() -> Option<&'d DataTree>,
+) -> Verdict {
+    let b = Builder::new(trim, q);
+    match b.determination() {
+        Determination::Empty => {
+            OBS_ASK_FROM_KNOWN.incr();
+            return Verdict::Complete(None);
+        }
+        Determination::Known => {
+            if let Some(known) = known() {
+                OBS_ASK_FROM_KNOWN.incr();
+                return Verdict::Complete(answer_on_known(q, known));
+            }
+        }
+        Determination::Undecided => {}
+    }
+    OBS_ASK_FROM_ANSWER_TYPE.incr();
+    Verdict::from_answer_type(b.answer_type())
 }
 
 impl QueryOnIncomplete {

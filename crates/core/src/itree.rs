@@ -335,9 +335,16 @@ impl IncompleteTree {
         if self.nodes.is_empty() {
             return None;
         }
-        let trimmed = self.trimmed();
-        let ty = &trimmed.ty;
-        let mut parent: HashMap<Nid, Option<Nid>> = HashMap::new();
+        self.trimmed().data_tree_of_trim()
+    }
+
+    /// [`data_tree`](Self::data_tree) of a tree that is already trim.
+    pub(crate) fn data_tree_of_trim(&self) -> Option<DataTree> {
+        let ty = &self.ty;
+        // (child, parent) for every entry that targets a data node: the
+        // parent is the data node of the symbol it occurs under (`None`
+        // under a label symbol). Sorted, each node's edges are adjacent.
+        let mut up: Vec<(Nid, Option<Nid>)> = Vec::new();
         for s in ty.syms() {
             let parent_node = match ty.info(s).target {
                 SymTarget::Node(n) => Some(n),
@@ -346,23 +353,23 @@ impl IncompleteTree {
             for atom in &ty.mu(s).0 {
                 for &(c, _) in atom.entries() {
                     if let SymTarget::Node(child) = ty.info(c).target {
-                        match parent.get(&child) {
-                            Some(&p) if p != parent_node => return None,
-                            _ => {
-                                parent.insert(child, parent_node);
-                            }
-                        }
+                        up.push((child, parent_node));
                     }
                 }
             }
         }
+        up.sort_unstable();
+        up.dedup();
+        if up.windows(2).any(|w| w[0].0 == w[1].0) {
+            return None; // a data node under two different parents
+        }
         // Roots: data nodes appearing as root symbols, or with no parent
         // edge recorded.
         let mut root: Option<Nid> = None;
-        for &n in trimmed.nodes.keys() {
-            let is_root = match parent.get(&n) {
-                None | Some(None) => true,
-                Some(Some(_)) => false,
+        for &n in self.nodes.keys() {
+            let is_root = match up.binary_search_by_key(&n, |&(c, _)| c) {
+                Ok(i) => up[i].1.is_none(),
+                Err(_) => true,
             };
             if is_root {
                 if root.is_some() {
@@ -372,28 +379,23 @@ impl IncompleteTree {
             }
         }
         let root = root?;
-        let ri = trimmed.nodes.get(&root)?;
+        let ri = self.nodes.get(&root)?;
         let mut out = DataTree::new(root, ri.label, ri.value);
-        // Insert children breadth-first.
-        let mut frontier = vec![root];
-        let mut remaining: Vec<(Nid, Nid)> = parent
-            .iter()
-            .filter_map(|(&c, &p)| p.map(|p| (c, p)))
-            .collect();
-        remaining.sort();
-        while let Some(p) = frontier.pop() {
-            // Infallible: `p` entered the frontier only after being added
-            // to `out` (the root at construction, others via add_child).
-            let pr = out.by_nid(p).expect("parent inserted before children");
-            for &(c, pp) in &remaining {
-                if pp == p {
-                    let ci = trimmed.nodes.get(&c)?;
-                    out.add_child(pr, c, ci.label, ci.value).ok()?;
-                    frontier.push(c);
-                }
+        out.reserve(self.nodes.len() - 1);
+        // Insert children depth-first, each parent's in ascending id
+        // order, from the edges sorted by (parent, child).
+        let mut down: Vec<(Nid, Nid)> = up.iter().filter_map(|&(c, p)| p.map(|p| (p, c))).collect();
+        down.sort_unstable();
+        let mut frontier = vec![(root, out.root())];
+        while let Some((p, pr)) = frontier.pop() {
+            let first = down.partition_point(|&(pp, _)| pp < p);
+            for &(_, c) in down[first..].iter().take_while(|&&(pp, _)| pp == p) {
+                let ci = self.nodes.get(&c)?;
+                let cr = out.add_child(pr, c, ci.label, ci.value).ok()?;
+                frontier.push((c, cr));
             }
         }
-        if out.len() != trimmed.nodes.len() {
+        if out.len() != self.nodes.len() {
             return None; // disconnected data nodes
         }
         Some(out)

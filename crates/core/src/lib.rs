@@ -32,7 +32,7 @@ pub mod prefix;
 pub mod refine;
 pub mod type_intersect;
 
-pub use answer::{match_sets, MatchSets, QueryOnIncomplete};
+pub use answer::{match_sets, Determination, MatchSets, QueryOnIncomplete, Verdict};
 pub use conjunctive::ConjunctiveTree;
 pub use ctt::{ConditionalTreeType, Disjunction, SAtom, Sym, SymTarget, SymbolInfo};
 pub use itree::{IncompleteTree, ItreeError, NodeInfo};

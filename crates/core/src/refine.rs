@@ -26,6 +26,7 @@
 //! would only copy it, so a step that learns no merge allocates only
 //! the product.
 
+use crate::answer::{answer_trim, Verdict};
 use crate::ctt::{ConditionalTreeType, Disjunction, SAtom, Sym, SymTarget};
 use crate::itree::{keep_unless_changed, IncompleteTree, ItreeError, NodeInfo};
 use iixml_obs::{keys, LazyCounter, LazyHistogram};
@@ -915,6 +916,40 @@ fn join_atoms_reference(
 pub struct Refiner {
     current: IncompleteTree,
     steps: usize,
+    /// The known data tree of `current`, for [`Refiner::answer`]; reset
+    /// whenever `current` changes.
+    known: KnownTree,
+}
+
+/// The known data tree `current.data_tree()` of a [`Refiner`]. Building
+/// it costs about as much as one `q(T)`, so the first Ask the dry run
+/// determines goes through `q(T)` and the second builds it: knowledge
+/// asked once (a cold start, or an Ask between two Fetches) never pays
+/// for it, and knowledge asked again keeps it.
+#[derive(Clone, Debug)]
+enum KnownTree {
+    /// No determined Ask of this knowledge yet.
+    Unasked,
+    /// One, answered through `q(T)`.
+    AskedOnce,
+    /// Built by the second.
+    Built(Option<DataTree>),
+}
+
+impl KnownTree {
+    /// The tree for a determined Ask, built by `build` on the second;
+    /// `None` on the first, and when the knowledge has no data tree.
+    fn for_ask(&mut self, build: impl FnOnce() -> Option<DataTree>) -> Option<&DataTree> {
+        match self {
+            KnownTree::Unasked => *self = KnownTree::AskedOnce,
+            KnownTree::AskedOnce => *self = KnownTree::Built(build()),
+            KnownTree::Built(_) => {}
+        }
+        match self {
+            KnownTree::Built(tree) => tree.as_ref(),
+            _ => None,
+        }
+    }
 }
 
 impl Refiner {
@@ -929,6 +964,7 @@ impl Refiner {
         Refiner {
             current: IncompleteTree::universal(&labels),
             steps: 0,
+            known: KnownTree::Unasked,
         }
     }
 
@@ -937,6 +973,7 @@ impl Refiner {
         Refiner {
             current: t,
             steps: 0,
+            known: KnownTree::Unasked,
         }
     }
 
@@ -976,6 +1013,7 @@ impl Refiner {
             let _span = OBS_MINIMIZE_NS.time();
             keep_unless_changed(trimmed, IncompleteTree::minimized)
         };
+        self.known = KnownTree::Unasked;
         self.steps += 1;
         OBS_STEPS.incr();
         OBS_STEP_SIZE.observe(self.current.size() as u64);
@@ -986,6 +1024,20 @@ impl Refiner {
     /// source document).
     pub fn data_tree(&self) -> Option<DataTree> {
         self.current.data_tree()
+    }
+
+    /// Answers `q` from the knowledge alone (Section 3.3). When
+    /// [`IncompleteTree::determination`] shows the answer is fixed, it
+    /// is `q` on the known data tree, which the second such Ask of this
+    /// knowledge builds and later ones reuse; otherwise, and on the
+    /// first, this builds `q(T)` and decides on it, as
+    /// [`Verdict::from_answer_type`] does.
+    pub fn answer(&mut self, q: &PsQuery) -> Verdict {
+        let trimmed = self.current.trimmed();
+        let known = &mut self.known;
+        answer_trim(&trimmed, q, || {
+            known.for_ask(|| trimmed.data_tree_of_trim())
+        })
     }
 }
 

@@ -3,7 +3,10 @@
 //! The workspace's property tests ran on `proptest` in the seed, but an
 //! external dependency cannot be guaranteed in offline builds, so tests
 //! use this harness instead: a fixed default seed, a case count, and a
-//! failure report that names the exact seed to replay.
+//! failure report that names the exact setting to replay: a property
+//! that fails at case `c` under base seed `b` prints
+//! `IIXML_TEST_SEED=<b> IIXML_PROPTEST_CASES=<c + 1>`, whose last case
+//! is case `c` again.
 //!
 //! Environment knobs (both optional, both read per property):
 //!
@@ -44,9 +47,26 @@ pub fn base_seed() -> u64 {
     env_u64(iixml_obs::keys::ENV_TEST_SEED, DEFAULT_SEED)
 }
 
+/// The seed of case `case` under base seed `base`. Case `c` depends only
+/// on `base` and `c`, so a run of `c + 1` cases ends with it.
+pub fn case_seed(base: u64, case: usize) -> u64 {
+    DetRng::new(base).fork(case as u64).next_u64()
+}
+
+/// The environment that replays case `case` under base seed `base`.
+pub fn replay_hint(base: u64, case: usize) -> String {
+    format!(
+        "{}={base} {}={}",
+        iixml_obs::keys::ENV_TEST_SEED,
+        iixml_obs::keys::ENV_PROPTEST_CASES,
+        case + 1
+    )
+}
+
 /// Runs `property` once per case with an independent [`DetRng`]. On
-/// panic, reports the property name and the case seed so the failure
-/// replays with `IIXML_TEST_SEED=<seed> IIXML_PROPTEST_CASES=1`.
+/// panic, reports the property name and the [`replay_hint`] that
+/// replays the failing case: `IIXML_TEST_SEED=<base>
+/// IIXML_PROPTEST_CASES=<case + 1>`.
 pub fn check<F>(name: &str, property: F)
 where
     F: FnMut(&mut DetRng),
@@ -64,13 +84,12 @@ where
     let n = cases().min(max_cases).max(1);
     let base = base_seed();
     for case in 0..n {
-        let case_seed = DetRng::new(base).fork(case as u64).next_u64();
-        let mut rng = DetRng::new(case_seed);
+        let mut rng = DetRng::new(case_seed(base, case));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| property(&mut rng)));
         if let Err(payload) = outcome {
             eprintln!(
-                "property '{name}' failed at case {case}/{n} — replay with \
-                 IIXML_TEST_SEED={case_seed} IIXML_PROPTEST_CASES=1"
+                "property '{name}' failed at case {case}/{n} — replay with {}",
+                replay_hint(base, case)
             );
             std::panic::resume_unwind(payload);
         }
@@ -94,6 +113,37 @@ mod tests {
             check("always fails", |_| panic!("boom"));
         });
         assert!(result.is_err());
+    }
+
+    /// The printed pair redraws the failing case's seed as the last case
+    /// of the replay run; the old form (`<case seed>` with one case) did
+    /// not.
+    #[test]
+    fn replay_hint_redraws_the_failing_case() {
+        let value = |hint: &str, key: &str| -> u64 {
+            let pair = hint.split(' ').find(|p| p.starts_with(key)).unwrap();
+            pair[key.len() + 1..].parse().unwrap()
+        };
+        for base in [DEFAULT_SEED, 0, 7, u64::MAX] {
+            for case in [0, 1, 5, 63] {
+                let hint = replay_hint(base, case);
+                let replay_base = value(&hint, iixml_obs::keys::ENV_TEST_SEED);
+                let replay_cases = value(&hint, iixml_obs::keys::ENV_PROPTEST_CASES) as usize;
+                let last = replay_cases - 1;
+                assert_eq!(case_seed(replay_base, last), case_seed(base, case));
+                assert_ne!(case_seed(case_seed(base, case), 0), case_seed(base, case));
+            }
+        }
+    }
+
+    /// `check` draws case `c`'s rng from `case_seed(base, c)`.
+    #[test]
+    fn check_draws_case_seeds() {
+        let mut draws = Vec::new();
+        check("collect draws", |rng| draws.push(rng.next_u64()));
+        for (case, &draw) in draws.iter().enumerate() {
+            assert_eq!(draw, DetRng::new(case_seed(base_seed(), case)).next_u64());
+        }
     }
 
     #[test]

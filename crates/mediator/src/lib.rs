@@ -173,11 +173,7 @@ impl<'a> Mediator<'a> {
         let Some(td) = trimmed.data_tree() else {
             // Nothing known yet: ask the whole query at the root
             // (unless it certainly answers empty).
-            let any_poss = trimmed
-                .ty()
-                .roots()
-                .iter()
-                .any(|r| sets.poss[&q.root()][r.ix()]);
+            let any_poss = trimmed.ty().roots().iter().any(|&r| sets.poss(q.root(), r));
             if any_poss {
                 out.queries.push(LocalQuery {
                     query: q.clone(),
@@ -189,7 +185,7 @@ impl<'a> Mediator<'a> {
         // Root must possibly match the known root.
         let root_nid = td.nid(td.root());
         let root_syms = self.syms_of(&trimmed, root_nid);
-        if !root_syms.iter().any(|s| sets.poss[&q.root()][s.ix()]) {
+        if !root_syms.iter().any(|&s| sets.poss(q.root(), s)) {
             return out; // certainly empty answer: nothing to fetch
         }
         self.descend(&trimmed, &td, q, q.root(), root_nid, &sets, &mut out);
@@ -235,8 +231,7 @@ impl<'a> Mediator<'a> {
             let from_missing = node_syms.iter().any(|&s| {
                 it.ty().mu(s).atoms().iter().any(|a| {
                     a.entries().iter().any(|&(c, _)| {
-                        !matches!(it.ty().info(c).target, SymTarget::Node(_))
-                            && sets.poss[&mi][c.ix()]
+                        !matches!(it.ty().info(c).target, SymTarget::Node(_)) && sets.poss(mi, c)
                     })
                 })
             });
@@ -266,7 +261,7 @@ impl<'a> Mediator<'a> {
             for &child in td.children(at_ref) {
                 let child_nid = td.nid(child);
                 let child_syms = self.syms_of(it, child_nid);
-                if child_syms.iter().any(|&s| sets.poss[&mi][s.ix()]) {
+                if child_syms.iter().any(|&s| sets.poss(mi, s)) {
                     self.descend(it, td, q, mi, child_nid, sets, out);
                 }
             }

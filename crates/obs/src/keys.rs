@@ -55,6 +55,11 @@ pub const CORE_MINIMIZE_INTERNED_SIGS: &str = "core.minimize.interned_sigs";
 /// Minimize calls that returned their input unchanged (no merge, no
 /// rebuild).
 pub const CORE_MINIMIZE_UNCHANGED: &str = "core.minimize.unchanged";
+/// Local answers decided without building `q(T)`: from the known data
+/// tree, or certainly empty (Corollary 3.15).
+pub const CORE_ASK_FROM_KNOWN: &str = "core.ask.from_known";
+/// Local answers that fell back to building `q(T)` (Theorem 3.14).
+pub const CORE_ASK_FROM_ANSWER_TYPE: &str = "core.ask.from_answer_type";
 
 // ---------------------------------------------------------------------
 // query — pattern evaluation.
@@ -190,6 +195,8 @@ pub const COUNTERS: &[&str] = &[
     CORE_MINIMIZE_SYMBOLS_MERGED,
     CORE_MINIMIZE_INTERNED_SIGS,
     CORE_MINIMIZE_UNCHANGED,
+    CORE_ASK_FROM_KNOWN,
+    CORE_ASK_FROM_ANSWER_TYPE,
     CORE_INTERN_ATOMS,
     CORE_INTERN_DISJS,
     QUERY_EVAL_CALLS,

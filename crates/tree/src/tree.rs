@@ -159,6 +159,12 @@ impl DataTree {
         Ok(r)
     }
 
+    /// Reserves room for `additional` more nodes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.nodes.reserve_exact(additional);
+        self.by_nid.reserve(additional);
+    }
+
     /// The root reference.
     pub fn root(&self) -> NodeRef {
         self.root
@@ -214,6 +220,16 @@ impl DataTree {
     /// Overwrites a node's data value.
     pub fn set_value(&mut self, n: NodeRef, value: Rat) {
         self.nodes[n.ix()].value = value;
+    }
+
+    /// Reorders every node's children by ascending node id. The tree is
+    /// unordered, so this changes only how it is written out.
+    pub fn sort_children_by_nid(&mut self) {
+        for i in 0..self.nodes.len() {
+            let mut kids = std::mem::take(&mut self.nodes[i].children);
+            kids.sort_unstable_by_key(|c| self.nodes[c.ix()].nid);
+            self.nodes[i].children = kids;
+        }
     }
 
     /// All node references in preorder (root first).

@@ -50,7 +50,8 @@ fn env_u64(name: &str, default: u64) -> u64 {
 }
 
 /// Runs `property` on a deterministic per-case rng, `IIXML_PROPTEST_CASES`
-/// times (capped at 200), reporting the failing case seed on panic.
+/// times (capped at 200), reporting on panic the base seed and case
+/// count whose last case is the failing one.
 fn check(name: &str, mut property: impl FnMut(&mut MiniRng)) {
     let n = (env_u64(iixml_obs::keys::ENV_PROPTEST_CASES, 64) as usize).clamp(1, 200);
     let base = env_u64(iixml_obs::keys::ENV_TEST_SEED, 0xA5EED);
@@ -61,7 +62,8 @@ fn check(name: &str, mut property: impl FnMut(&mut MiniRng)) {
         if let Err(payload) = outcome {
             eprintln!(
                 "property '{name}' failed at case {case}/{n} — replay with \
-                 IIXML_TEST_SEED={case_seed} IIXML_PROPTEST_CASES=1"
+                 IIXML_TEST_SEED={base} IIXML_PROPTEST_CASES={}",
+                case + 1
             );
             std::panic::resume_unwind(payload);
         }

@@ -53,7 +53,7 @@ pub use error::{SourceError, ValidationError, WebhouseError};
 pub use iixml_store::{FlushPolicy, RecoveryStatus, StoreError};
 pub use retry::RetryPolicy;
 
-use iixml_core::{IncompleteTree, QueryOnIncomplete, Refiner};
+use iixml_core::{IncompleteTree, QueryOnIncomplete, Refiner, Verdict};
 use iixml_gen::rng::DetRng;
 use iixml_mediator::{CompletionError, Mediator};
 use iixml_obs::{keys, LazyCounter, LazyHistogram};
@@ -594,14 +594,16 @@ impl<E: SourceEndpoint> Session<E> {
     }
 
     /// Answers from local knowledge only (Section 3.3): complete when
-    /// possible, otherwise a description of the possible answers.
+    /// possible, otherwise a description of the possible answers. The
+    /// decision is [`Refiner::answer`]'s: from the known data tree when
+    /// the knowledge determines the answer, through `q(T)` otherwise.
     pub fn answer_locally(&mut self, q: &PsQuery) -> LocalAnswer {
-        let qt = self.knowledge().query(q);
-        if qt.fully_answerable() {
-            self.answered_locally += 1;
-            LocalAnswer::Complete(qt.the_answer())
-        } else {
-            LocalAnswer::Partial(qt)
+        match self.refiner.answer(q) {
+            Verdict::Complete(a) => {
+                self.answered_locally += 1;
+                LocalAnswer::Complete(a)
+            }
+            Verdict::Partial(qt) => LocalAnswer::Partial(qt),
         }
     }
 

@@ -48,7 +48,7 @@ pub use iixml_webhouse as webhouse;
 /// Convenient glob-import surface covering the common types.
 pub mod prelude {
     pub use iixml_core::{
-        ConditionalTreeType, ConjunctiveTree, IncompleteTree, Refiner, SymbolInfo,
+        ConditionalTreeType, ConjunctiveTree, IncompleteTree, Refiner, SymbolInfo, Verdict,
     };
     pub use iixml_mediator::{Completion, LocalQuery, Mediator};
     pub use iixml_query::{PsQuery, PsQueryBuilder};

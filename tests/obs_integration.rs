@@ -44,6 +44,14 @@ fn refine_pipeline_emits_expected_metrics() {
         Source::new(cat.doc.clone(), Some(cat.ty.clone())),
     );
     session.fetch(&q_view).unwrap();
+    // Ask down both branches of the decision: the fetched view twice
+    // (the first determined Ask of a knowledge goes through q(T), the
+    // second builds the known data tree and answers from it), the
+    // camera query (not yet fetched) through q(T).
+    for _ in 0..2 {
+        assert!(session.answer_locally(&q_view).is_complete());
+    }
+    assert!(!session.answer_locally(&q_cam).is_complete());
     let _ = session.answer_with_mediation(&q_cam).unwrap();
 
     // One direct evaluation and one bounded enumeration so the query
@@ -135,6 +143,11 @@ fn refine_pipeline_emits_expected_metrics() {
         .expect("world-count histogram present");
     assert_eq!(worlds.count, 1);
     assert_eq!(worlds.max as usize, en.worlds.len());
+
+    // The Ask decision: one counter per branch.
+    for key in [keys::CORE_ASK_FROM_KNOWN, keys::CORE_ASK_FROM_ANSWER_TYPE] {
+        assert!(snap.counter(key).unwrap_or(0) >= 1, "{key} never counted");
+    }
 
     // Mediator / webhouse instrumentation.
     assert!(snap.counter(keys::MEDIATOR_LOCAL_QUERIES).unwrap_or(0) >= 1);
