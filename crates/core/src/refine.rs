@@ -24,15 +24,17 @@
 //! and the `blowup` bench). The product is built from the root pairs
 //! outward, and trim and minimize hand it back unchanged when they
 //! would only copy it, so a step that learns no merge allocates only
-//! the product.
+//! the product. A pair the knowledge already implies builds nothing:
+//! Refine would leave `rep` as it is, so the knowledge stays as it is.
 
-use crate::answer::{answer_trim, Verdict};
+use crate::answer::{answer_trim, implies, Verdict};
 use crate::ctt::{ConditionalTreeType, Disjunction, SAtom, Sym, SymTarget};
 use crate::itree::{keep_unless_changed, IncompleteTree, ItreeError, NodeInfo};
 use iixml_obs::{keys, LazyCounter, LazyHistogram};
 use iixml_query::{Answer, MatchKind, PsQuery, QNodeRef};
 use iixml_tree::{Alphabet, DataTree, Label, Mult, Nid};
 use iixml_values::IntervalSet;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -42,6 +44,8 @@ const DENSE_PAIR_LIMIT: usize = 1 << 22;
 
 /// Refinement steps performed (all chains).
 static OBS_STEPS: LazyCounter = LazyCounter::new(keys::CORE_REFINE_STEPS);
+/// Steps whose pair the knowledge already implied (no product built).
+static OBS_IMPLIED: LazyCounter = LazyCounter::new(keys::CORE_REFINE_IMPLIED);
 /// Size of each `T_{q,A}` built by [`query_answer_tree`].
 static OBS_TQA_SIZE: LazyHistogram = LazyHistogram::new(keys::CORE_REFINE_TQA_SIZE);
 /// Atoms emitted per `⋊⋉` join of two multiplicity atoms.
@@ -915,9 +919,13 @@ fn join_atoms_reference(
 #[derive(Clone, Debug)]
 pub struct Refiner {
     current: IncompleteTree,
+    /// Is `current` trim? Checked once by the constructors; `refine`
+    /// always leaves it trim.
+    trim: bool,
     steps: usize,
-    /// The known data tree of `current`, for [`Refiner::answer`]; reset
-    /// whenever `current` changes.
+    /// The known data tree of `current`, for [`Refiner::answer`] and
+    /// the implied-pair check of [`Refiner::refine`]; reset whenever
+    /// `current` changes.
     known: KnownTree,
 }
 
@@ -925,7 +933,9 @@ pub struct Refiner {
 /// it costs about as much as one `q(T)`, so the first Ask the dry run
 /// determines goes through `q(T)` and the second builds it: knowledge
 /// asked once (a cold start, or an Ask between two Fetches) never pays
-/// for it, and knowledge asked again keeps it.
+/// for it, and knowledge asked again keeps it. A Refine whose answer
+/// the dry run determines builds it at once, since only it can show
+/// the pair is implied; a run of implied Refines then builds it once.
 #[derive(Clone, Debug)]
 enum KnownTree {
     /// No determined Ask of this knowledge yet.
@@ -940,15 +950,32 @@ impl KnownTree {
     /// The tree for a determined Ask, built by `build` on the second;
     /// `None` on the first, and when the knowledge has no data tree.
     fn for_ask(&mut self, build: impl FnOnce() -> Option<DataTree>) -> Option<&DataTree> {
-        match self {
-            KnownTree::Unasked => *self = KnownTree::AskedOnce,
-            KnownTree::AskedOnce => *self = KnownTree::Built(build()),
-            KnownTree::Built(_) => {}
+        if let KnownTree::Unasked = self {
+            *self = KnownTree::AskedOnce;
+            return None;
+        }
+        self.built(build)
+    }
+
+    /// The tree, built by `build` unless it already was; `None` when the
+    /// knowledge has no data tree.
+    fn built(&mut self, build: impl FnOnce() -> Option<DataTree>) -> Option<&DataTree> {
+        if !matches!(self, KnownTree::Built(_)) {
+            *self = KnownTree::Built(build());
         }
         match self {
             KnownTree::Built(tree) => tree.as_ref(),
             _ => None,
         }
+    }
+}
+
+/// `t` as a trim tree: borrowed when `trim` says it already is.
+fn trim_view(t: &IncompleteTree, trim: bool) -> Cow<'_, IncompleteTree> {
+    if trim {
+        Cow::Borrowed(t)
+    } else {
+        t.trimmed()
     }
 }
 
@@ -961,16 +988,13 @@ impl Refiner {
     /// records that no such nodes exist).
     pub fn new(alpha: &Alphabet) -> Refiner {
         let labels: Vec<Label> = alpha.labels().collect();
-        Refiner {
-            current: IncompleteTree::universal(&labels),
-            steps: 0,
-            known: KnownTree::Unasked,
-        }
+        Refiner::from_tree(IncompleteTree::universal(&labels))
     }
 
     /// Starts a chain from an existing incomplete tree.
     pub fn from_tree(t: IncompleteTree) -> Refiner {
         Refiner {
+            trim: t.is_trim(),
             current: t,
             steps: 0,
             known: KnownTree::Unasked,
@@ -992,12 +1016,30 @@ impl Refiner {
     /// merging, see [`crate::minimize`]) is `rep`-preserving and keeps
     /// benign chains — in particular those aided by Proposition 3.13's
     /// auxiliary queries — polynomial.
+    ///
+    /// When the knowledge already implies the pair (every represented
+    /// world answers `q` with `ans`, so `rep(T) ⊆ q⁻¹(ans)` and the step
+    /// would leave `rep` as it is), the knowledge is left as it is and
+    /// this returns `Ok(true)`. The decision is a function of `T`, `q`
+    /// and `ans` alone, so a journal replay makes the same one.
     pub fn refine(
         &mut self,
         alpha: &Alphabet,
         q: &PsQuery,
         ans: &Answer,
-    ) -> Result<(), ItreeError> {
+    ) -> Result<bool, ItreeError> {
+        let implied = {
+            let trimmed = trim_view(&self.current, self.trim);
+            let known = &mut self.known;
+            implies(&trimmed, q, ans, || {
+                known.built(|| trimmed.data_tree_of_trim())
+            })
+        };
+        if implied {
+            OBS_IMPLIED.incr();
+            self.count_step();
+            return Ok(true);
+        }
         let tqa = query_answer_tree(q, ans, alpha)?;
         let combined = {
             let _span = OBS_INTERSECT_NS.time();
@@ -1013,11 +1055,17 @@ impl Refiner {
             let _span = OBS_MINIMIZE_NS.time();
             keep_unless_changed(trimmed, IncompleteTree::minimized)
         };
+        debug_assert!(self.current.is_trim(), "Refine leaves its knowledge trim");
+        self.trim = true;
         self.known = KnownTree::Unasked;
+        self.count_step();
+        Ok(false)
+    }
+
+    fn count_step(&mut self) {
         self.steps += 1;
         OBS_STEPS.incr();
         OBS_STEP_SIZE.observe(self.current.size() as u64);
-        Ok(())
     }
 
     /// The data tree `T_d` accumulated so far (the known prefix of the
@@ -1033,7 +1081,7 @@ impl Refiner {
     /// first, this builds `q(T)` and decides on it, as
     /// [`Verdict::from_answer_type`] does.
     pub fn answer(&mut self, q: &PsQuery) -> Verdict {
-        let trimmed = self.current.trimmed();
+        let trimmed = trim_view(&self.current, self.trim);
         let known = &mut self.known;
         answer_trim(&trimmed, q, || {
             known.for_ask(|| trimmed.data_tree_of_trim())

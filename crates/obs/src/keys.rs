@@ -22,6 +22,9 @@
 
 /// Refine steps executed (Theorem 3.4's loop).
 pub const CORE_REFINE_STEPS: &str = "core.refine.steps";
+/// Refine steps whose pair the knowledge already implied, so the
+/// knowledge was left as it is (Theorem 3.4).
+pub const CORE_REFINE_IMPLIED: &str = "core.refine.implied";
 /// Size of the `T_{q,A}` tree built per step.
 pub const CORE_REFINE_TQA_SIZE: &str = "core.refine.tqa_size";
 /// Fan-out of the ⋊⋉ join per node.
@@ -190,6 +193,7 @@ pub const SERVE_FRAME_BYTES: &str = "serve.req.frame_bytes";
 /// Every registered counter key.
 pub const COUNTERS: &[&str] = &[
     CORE_REFINE_STEPS,
+    CORE_REFINE_IMPLIED,
     CORE_REFINE_DISJUNCTIVE_EXPANSIONS,
     CORE_TYPE_INTERSECT_CONTRADICTIONS,
     CORE_MINIMIZE_SYMBOLS_MERGED,

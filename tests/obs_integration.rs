@@ -53,6 +53,8 @@ fn refine_pipeline_emits_expected_metrics() {
     }
     assert!(!session.answer_locally(&q_cam).is_complete());
     let _ = session.answer_with_mediation(&q_cam).unwrap();
+    // A revisit: the knowledge already implies the pair.
+    session.fetch(&q_view).unwrap();
 
     // One direct evaluation and one bounded enumeration so the query
     // and oracle families show up too.
@@ -143,6 +145,12 @@ fn refine_pipeline_emits_expected_metrics() {
         .expect("world-count histogram present");
     assert_eq!(worlds.count, 1);
     assert_eq!(worlds.max as usize, en.worlds.len());
+
+    // The revisit Fetch left the knowledge as it was.
+    assert!(
+        snap.counter(keys::CORE_REFINE_IMPLIED).unwrap_or(0) >= 1,
+        "the revisit Fetch was not counted as implied"
+    );
 
     // The Ask decision: one counter per branch.
     for key in [keys::CORE_ASK_FROM_KNOWN, keys::CORE_ASK_FROM_ANSWER_TYPE] {
