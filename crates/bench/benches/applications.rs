@@ -22,7 +22,6 @@ fn bench_sat_reduction(h: &mut Harness) {
         let enc = encode(&cnf);
         g.bench(format!("decide/{n}"), || enc.possible_prefix_val1());
     }
-    g.finish();
 }
 
 fn bench_webhouse(h: &mut Harness) {
@@ -43,7 +42,6 @@ fn bench_webhouse(h: &mut Harness) {
             ans.map_or(0, |t| t.len())
         });
     }
-    g.finish();
 }
 
 fn main() {

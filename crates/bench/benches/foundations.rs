@@ -30,7 +30,6 @@ fn bench_conditions(h: &mut Harness) {
         }
         g.bench(format!("normalize/{n}"), || cond.to_intervals());
     }
-    g.finish();
 }
 
 /// A deep chain type: root -> l1+, l1 -> l2+, ..., with an unproductive
@@ -65,7 +64,6 @@ fn bench_emptiness(h: &mut Harness) {
         assert!(!ty.is_empty());
         g.bench(format!("chain/{depth}"), || ty.is_empty());
     }
-    g.finish();
 }
 
 fn bench_prefix(h: &mut Harness) {
@@ -81,7 +79,6 @@ fn bench_prefix(h: &mut Harness) {
             knowledge.possible_prefix(&td)
         });
     }
-    g.finish();
 }
 
 fn bench_membership(h: &mut Harness) {
@@ -95,7 +92,6 @@ fn bench_membership(h: &mut Harness) {
             knowledge.contains(&cat.doc)
         });
     }
-    g.finish();
 }
 
 fn bench_type_restriction(h: &mut Harness) {
@@ -108,7 +104,6 @@ fn bench_type_restriction(h: &mut Harness) {
             iixml_core::type_intersect::restrict_to_type(&knowledge, &cat.ty)
         });
     }
-    g.finish();
 }
 
 fn bench_minimize(h: &mut Harness) {
@@ -123,7 +118,6 @@ fn bench_minimize(h: &mut Harness) {
         let tree = refiner.current().clone();
         g.bench(format!("minimize/{products}"), || tree.minimize());
     }
-    g.finish();
 }
 
 fn main() {

@@ -27,7 +27,6 @@ fn bench_query_incomplete(h: &mut Harness) {
         let q = catalog_query_camera_pictures(&mut cat.alpha);
         g.bench(format!("qT/{products}"), || knowledge.query(&q));
     }
-    g.finish();
 }
 
 fn bench_answerability(h: &mut Harness) {
@@ -55,7 +54,6 @@ fn bench_answerability(h: &mut Harness) {
         let qt = knowledge.query(&ask);
         qt.fully_answerable() && qt.the_answer().is_some()
     });
-    g.finish();
 }
 
 fn bench_mediator(h: &mut Harness) {
@@ -69,7 +67,6 @@ fn bench_mediator(h: &mut Harness) {
             med.complete(&q).queries.len()
         });
     }
-    g.finish();
 }
 
 /// The Section 4 branching example: root with n `a(b=i)` children, query
@@ -100,7 +97,6 @@ fn bench_branching(h: &mut Harness) {
         let q = bld.build();
         g.bench(format!("valuations/{n}"), || q.valuations(&t).len());
     }
-    g.finish();
 }
 
 fn bench_pebble(h: &mut Harness) {
@@ -118,7 +114,6 @@ fn bench_pebble(h: &mut Harness) {
         g.bench(format!("one_pebble/{products}"), || a1.accepts(&bt));
         g.bench(format!("two_pebbles/{products}"), || a2.accepts(&bt));
     }
-    g.finish();
 }
 
 fn main() {

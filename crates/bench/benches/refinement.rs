@@ -28,7 +28,6 @@ fn bench_refine_catalog(h: &mut Harness) {
             refiner.current().size()
         });
     }
-    g.finish();
 }
 
 fn bench_blowup(h: &mut Harness) {
@@ -44,7 +43,6 @@ fn bench_blowup(h: &mut Harness) {
             conjunctive_blowup_sizes(n).last().copied()
         });
     }
-    g.finish();
 }
 
 fn bench_linear_queries(h: &mut Harness) {
@@ -55,7 +53,6 @@ fn bench_linear_queries(h: &mut Harness) {
             linear_chain_sizes(n).last().copied()
         });
     }
-    g.finish();
 }
 
 fn bench_auxiliary(h: &mut Harness) {
@@ -64,7 +61,6 @@ fn bench_auxiliary(h: &mut Harness) {
     for n in [4usize, 6, 8] {
         g.bench(format!("aided_chain/{n}"), || auxiliary_chain_size(n));
     }
-    g.finish();
 }
 
 fn bench_conjunctive_emptiness(h: &mut Harness) {
@@ -97,7 +93,6 @@ fn bench_conjunctive_emptiness(h: &mut Harness) {
             .unwrap();
         g.bench(format!("contains/{n}"), || conj.contains(&w));
     }
-    g.finish();
 }
 
 fn main() {

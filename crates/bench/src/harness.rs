@@ -162,9 +162,6 @@ impl Group<'_> {
         );
         self.harness.results.push(m);
     }
-
-    /// No-op, kept for call-site symmetry with the previous harness.
-    pub fn finish(self) {}
 }
 
 /// Median of `v` (mean of the middle pair for even lengths).
@@ -216,7 +213,6 @@ mod tests {
         let mut g = h.group("t");
         g.sample_size(3);
         g.bench("noop", || 1 + 1);
-        g.finish();
         assert_eq!(h.results().len(), 1);
         let m = &h.results()[0];
         assert_eq!(m.name, "t/noop");
@@ -233,7 +229,6 @@ mod tests {
         let mut g = h.group("t");
         g.bench("other", || 0);
         g.bench("match-me", || 0);
-        g.finish();
         assert_eq!(h.results().len(), 1);
         assert_eq!(h.results()[0].name, "t/match-me");
     }

@@ -184,12 +184,6 @@ impl ConditionalTreeType {
         self.mu[s.ix()] = d;
     }
 
-    /// The right-hand side of a symbol as a shareable handle (clone is a
-    /// refcount bump).
-    pub fn mu_shared(&self, s: Sym) -> Arc<Disjunction> {
-        self.mu[s.ix()].clone()
-    }
-
     /// Declares a root symbol.
     pub fn add_root(&mut self, s: Sym) {
         if !self.roots.contains(&s) {

@@ -11,9 +11,12 @@
 //! * [`Mediator::complete`] implements the non-redundant completion of
 //!   Theorem 3.19: the returned local queries avoid re-fetching known
 //!   nodes, never overlap, and never certainly return empty answers.
-//! * [`Completion::execute`] runs the local queries against a live
-//!   source and grafts the answers into the known data tree, after which
-//!   the original query is answerable locally.
+//! * [`Completion::run`] is the one completion loop: it asks the local
+//!   queries through a caller-supplied function (a live source, or the
+//!   webhouse's validating, retrying endpoint) and grafts the answers
+//!   into the known data tree, after which the original query is
+//!   answerable locally. [`Completion::execute`] runs it over an
+//!   in-memory source document.
 //! * [`auxiliary_queries`] implements Proposition 3.13: the path queries
 //!   that, when asked alongside each user query, keep Algorithm Refine's
 //!   incomplete tree polynomial in the whole query-answer sequence.
@@ -24,7 +27,7 @@
 use iixml_core::{
     match_sets, ConditionalTreeType, Disjunction, IncompleteTree, SAtom, Sym, SymTarget,
 };
-use iixml_query::{PsQuery, QNodeRef};
+use iixml_query::{Answer, PsQuery, QNodeRef};
 use iixml_tree::{DataTree, Label, Mult, Nid};
 use iixml_values::IntervalSet;
 use std::collections::HashMap;
@@ -83,20 +86,23 @@ impl Completion {
         self.queries.is_empty()
     }
 
-    /// Executes the completion against a live source document: evaluates
-    /// each local query and grafts its answer into `known` (the data
-    /// tree accumulated so far). After execution, `q(known) = q(source)`
-    /// for the query the completion was generated for. Returns the total
-    /// number of answer nodes shipped by the source.
+    /// The completion loop: asks each local query through `ask`, in
+    /// generation order, and grafts its answer into `prefix`, the data
+    /// tree known so far (`None` when nothing is known yet: the first
+    /// non-empty answer then becomes the prefix). Each answer is grafted
+    /// before the next query is asked, and the first error — from `ask`
+    /// or from a graft — stops the loop. Returns the completed tree and
+    /// the number of answer nodes shipped.
     ///
-    /// Execution is transactional: on error, `known` is left exactly as
-    /// it was — a failed completion never leaves a half-grafted tree
-    /// behind (the fault-model contract of the webhouse loop).
-    pub fn execute(
+    /// The loop is transactional: it grafts into the `prefix` it was
+    /// given and hands the result back only on success, so a failed
+    /// completion never leaves a half-grafted tree behind (the
+    /// fault-model contract of the webhouse loop).
+    pub fn run<E: From<CompletionError>>(
         &self,
-        source: &DataTree,
-        known: &mut DataTree,
-    ) -> Result<usize, CompletionError> {
+        prefix: Option<DataTree>,
+        mut ask: impl FnMut(&LocalQuery) -> Result<Answer, E>,
+    ) -> Result<(Option<DataTree>, usize), E> {
         /// Wall time of executing a completion against a source.
         static OBS_EXECUTE_NS: iixml_obs::LazyHistogram =
             iixml_obs::LazyHistogram::new(iixml_obs::keys::MEDIATOR_EXECUTE_NS);
@@ -109,36 +115,51 @@ impl Completion {
 
         let _span = OBS_EXECUTE_NS.time();
         OBS_LOCAL_QUERIES.add(self.queries.len() as u64);
-        // Evaluations are independent reads of the in-memory source (the
-        // queries of a completion are non-redundant, each asking for a
-        // distinct missing piece); nothing waits, so they run in order.
-        // Grafting follows in generation order: grafts are root-to-leaf
-        // dependent, and sequential application fixes the result and the
-        // first error surfaced.
-        let answers: Vec<Result<_, CompletionError>> = self
-            .queries
-            .iter()
-            .map(|lq| match lq.at {
-                None => Ok(lq.query.eval(source)),
-                Some(n) => lq
-                    .query
-                    .eval_at(source, n)
-                    .ok_or(CompletionError::MissingAnchor(n)),
-            })
-            .collect();
+        let mut known = prefix;
         let mut shipped = 0;
-        let mut scratch = known.clone();
-        for answer in answers {
-            let answer = answer?;
+        // Grafts are root-to-leaf dependent: generation order fixes the
+        // result and the first error surfaced.
+        let outcome = self.queries.iter().try_for_each(|lq| {
+            let answer = ask(lq)?;
             shipped += answer.len();
-            if let Some(t) = answer.tree {
-                scratch
+            match (answer.tree, &mut known) {
+                (None, _) => Ok(()),
+                (Some(t), Some(k)) => k
                     .graft(&t)
-                    .map_err(|e| CompletionError::Graft { reason: e })?;
+                    .map_err(|reason| E::from(CompletionError::Graft { reason })),
+                (Some(t), slot @ None) => {
+                    *slot = Some(t);
+                    Ok(())
+                }
             }
-        }
-        *known = scratch;
+        });
+        // Nodes a failed completion fetched were still shipped.
         OBS_SHIPPED.add(shipped as u64);
+        outcome.map(|()| (known, shipped))
+    }
+
+    /// Executes the completion against a live source document through
+    /// [`Completion::run`]: evaluates each local query and grafts its
+    /// answer into `known` (the data tree accumulated so far). After
+    /// execution, `q(known) = q(source)` for the query the completion
+    /// was generated for. Returns the total number of answer nodes
+    /// shipped by the source. On error, `known` is left exactly as it
+    /// was.
+    pub fn execute(
+        &self,
+        source: &DataTree,
+        known: &mut DataTree,
+    ) -> Result<usize, CompletionError> {
+        let (grown, shipped) = self.run(Some(known.clone()), |lq| match lq.at {
+            None => Ok(lq.query.eval(source)),
+            Some(n) => lq
+                .query
+                .eval_at(source, n)
+                .ok_or(CompletionError::MissingAnchor(n)),
+        })?;
+        if let Some(t) = grown {
+            *known = t;
+        }
         Ok(shipped)
     }
 }

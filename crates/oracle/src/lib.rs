@@ -14,15 +14,14 @@
 //! * [`mutations`] — a neighborhood of a concrete tree (drop a node,
 //!   perturb a value, duplicate a subtree, relabel) used to probe
 //!   membership predicates from both sides;
-//! * reference implementations of possible/certain prefix and query
-//!   answering over an explicit world list;
+//! * reference implementations of possible/certain prefix over an
+//!   explicit world list;
 //! * [`root_reachable`] — an incomplete tree cut down to the symbols its
 //!   roots reach, the shape `refine::intersect` returns next to the full
 //!   product of `refine::intersect_reference`.
 
 use iixml_core::{ConditionalTreeType, Disjunction, IncompleteTree, SAtom, Sym, SymTarget};
 use iixml_obs::{keys, LazyCounter, LazyHistogram};
-use iixml_query::PsQuery;
 use iixml_tree::{is_prefix_of, DataTree, Nid, NodeRef};
 use iixml_values::{IntervalSet, Rat};
 use std::collections::{HashMap, HashSet};
@@ -657,21 +656,6 @@ pub fn oracle_possible_prefix(worlds: &[DataTree], t: &DataTree, pinned: &HashSe
 /// Reference certain-prefix: nonempty world list, all embedding.
 pub fn oracle_certain_prefix(worlds: &[DataTree], t: &DataTree, pinned: &HashSet<Nid>) -> bool {
     !worlds.is_empty() && worlds.iter().all(|w| is_prefix_of(t, w, pinned))
-}
-
-/// Evaluates `q` over every world, returning the distinct answers
-/// (`None` = the empty answer).
-pub fn oracle_answers(worlds: &[DataTree], q: &PsQuery) -> Vec<Option<DataTree>> {
-    let mut seen = HashSet::new();
-    let mut out = Vec::new();
-    for w in worlds {
-        let a = q.eval(w).tree;
-        let key = a.as_ref().map(|t| t.canonical_key(t.root()));
-        if seen.insert(key) {
-            out.push(a);
-        }
-    }
-    out
 }
 
 /// Structural mutations of a tree, for probing membership predicates:

@@ -146,11 +146,6 @@ impl SessionJournal {
         self.writer.io()
     }
 
-    /// The active group-commit flush policy.
-    pub fn flush_policy(&self) -> FlushPolicy {
-        self.writer.policy()
-    }
-
     /// Replaces the group-commit flush policy (flushing immediately if
     /// the buffered batch already exceeds the new bounds).
     pub fn set_flush_policy(&mut self, policy: FlushPolicy) -> Result<(), StoreError> {

@@ -376,11 +376,6 @@ impl GroupCommit {
         }
     }
 
-    /// The active flush policy.
-    pub fn policy(&self) -> FlushPolicy {
-        self.policy
-    }
-
     /// Replaces the flush policy, flushing immediately if the buffered
     /// batch already exceeds the new bounds.
     pub fn set_policy(&mut self, policy: FlushPolicy) -> Result<(), StoreError> {

@@ -75,11 +75,6 @@ impl Rat {
         self.den
     }
 
-    /// Returns `true` if this rational is an integer.
-    pub fn is_integer(self) -> bool {
-        self.den == 1
-    }
-
     /// The midpoint `(self + other) / 2`; used to pick witnesses strictly
     /// inside open intervals.
     pub fn midpoint(self, other: Rat) -> Rat {

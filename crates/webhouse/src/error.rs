@@ -148,21 +148,6 @@ pub enum WebhouseError {
     Store(StoreError),
 }
 
-impl WebhouseError {
-    /// Does this failure mean the accumulated knowledge can no longer be
-    /// trusted (quarantine + reinitialize, Section 5), as opposed to the
-    /// source being merely unavailable (degrade to the local partial
-    /// answer)?
-    pub fn poisons_knowledge(&self) -> bool {
-        match self {
-            WebhouseError::Source(e) => e.signals_update(),
-            WebhouseError::Refine(_) | WebhouseError::Completion(_) => true,
-            WebhouseError::Contradiction => true,
-            WebhouseError::Store(_) => false,
-        }
-    }
-}
-
 impl fmt::Display for WebhouseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -55,7 +55,7 @@ pub use retry::RetryPolicy;
 
 use iixml_core::{IncompleteTree, QueryOnIncomplete, Refiner, Verdict};
 use iixml_gen::rng::DetRng;
-use iixml_mediator::{CompletionError, Mediator};
+use iixml_mediator::Mediator;
 use iixml_obs::{keys, LazyCounter, LazyHistogram};
 use iixml_query::{Answer, PsQuery};
 use iixml_store::{RecoveryMode, SessionJournal};
@@ -76,14 +76,6 @@ static OBS_DEGRADED: LazyCounter = LazyCounter::new(keys::WEBHOUSE_DEGRADED_ANSW
 static OBS_QUARANTINES: LazyCounter = LazyCounter::new(keys::WEBHOUSE_QUARANTINES);
 /// Backoff pauses (ns), simulated or slept.
 static OBS_BACKOFF_NS: LazyHistogram = LazyHistogram::new(keys::WEBHOUSE_BACKOFF_NS);
-/// Wall time of executing a completion's local queries (same key as
-/// `Completion::execute`, which the session loop supersedes — the
-/// metric survives either execution path).
-static OBS_EXECUTE_NS: LazyHistogram = LazyHistogram::new(keys::MEDIATOR_EXECUTE_NS);
-/// Local queries sent to sources (shared key, as above).
-static OBS_LOCAL_QUERIES: LazyCounter = LazyCounter::new(keys::MEDIATOR_LOCAL_QUERIES);
-/// Answer nodes shipped by sources (shared key, as above).
-static OBS_SHIPPED: LazyCounter = LazyCounter::new(keys::MEDIATOR_SHIPPED_NODES);
 /// Containment-cache lookups before fetch/mediation.
 static OBS_CONTAIN_CHECKS: LazyCounter = LazyCounter::new(keys::MEDIATOR_CONTAINMENT_CHECKS);
 /// Containment-cache lookups answered from recorded knowledge.
@@ -146,11 +138,6 @@ impl LocalAnswer {
     /// Was the query fully answered locally?
     pub fn is_complete(&self) -> bool {
         matches!(self, LocalAnswer::Complete(_))
-    }
-
-    /// Did the query take a degraded recovery path?
-    pub fn is_degraded(&self) -> bool {
-        matches!(self, LocalAnswer::Degraded { .. })
     }
 }
 
@@ -581,14 +568,7 @@ impl<E: SourceEndpoint> Session<E> {
     /// — the paper's standing size-control strategy.
     pub fn fetch_with_auxiliaries(&mut self, q: &PsQuery) -> Result<Answer, WebhouseError> {
         for aux in iixml_mediator::auxiliary_queries(q) {
-            match self.cache_lookup(&aux) {
-                Some(a) => self.apply_refine(&aux, &a)?,
-                None => {
-                    let a = self.ask_source(&aux, None)?;
-                    self.apply_refine(&aux, &a)?;
-                    self.cache_record(&aux, &a);
-                }
-            }
+            self.fetch(&aux)?;
         }
         self.fetch(q)
     }
@@ -608,11 +588,11 @@ impl<E: SourceEndpoint> Session<E> {
     }
 
     /// Answers exactly, contacting the source only for the missing
-    /// pieces (Section 3.4): generates a non-redundant completion,
-    /// executes its local queries through the endpoint (each validated
-    /// and retried per the session's policy), and refines local
-    /// knowledge with the now-exact answer. On any error the knowledge
-    /// is left unchanged.
+    /// pieces (Section 3.4): generates a non-redundant completion, runs
+    /// it with [`iixml_mediator::Completion::run`], asking each local
+    /// query through the endpoint (validated and retried per the
+    /// session's policy), and refines local knowledge with the now-exact
+    /// answer. On any error the knowledge is left unchanged.
     pub fn answer_with_mediation(
         &mut self,
         q: &PsQuery,
@@ -631,28 +611,10 @@ impl<E: SourceEndpoint> Session<E> {
         if let LocalAnswer::Complete(a) = self.answer_locally(q) {
             return Ok(a);
         }
-        let completion = {
-            let med = Mediator::new(self.refiner.current());
-            med.complete(q)
-        };
+        let completion = Mediator::new(self.refiner.current()).complete(q);
         self.mediator_queries += completion.queries.len();
-        let _span = OBS_EXECUTE_NS.time();
-        OBS_LOCAL_QUERIES.add(completion.queries.len() as u64);
-        // Graft each (validated) answer into the known prefix; when
-        // nothing is known the completion holds `q@root` and the first
-        // answer becomes the prefix.
-        let mut known = self.data_tree();
-        for lq in &completion.queries {
-            let ans = self.ask_source(&lq.query, lq.at)?;
-            OBS_SHIPPED.add(ans.len() as u64);
-            let Some(t) = ans.tree else { continue };
-            match &mut known {
-                Some(k) => k
-                    .graft(&t)
-                    .map_err(|reason| CompletionError::Graft { reason })?,
-                slot @ None => *slot = Some(t),
-            }
-        }
+        let (known, _) =
+            completion.run(self.data_tree(), |lq| self.ask_source(&lq.query, lq.at))?;
         let answer = match &known {
             Some(k) => q.eval(k),
             None => Answer {
@@ -906,21 +868,6 @@ impl<E: SourceEndpoint> Webhouse<E> {
         session.set_obs_label(&name);
         self.sessions.insert(name, session);
         Ok(())
-    }
-
-    /// Re-registers a crashed journaled session from its journal (see
-    /// [`Session::recover`]), returning what recovery found.
-    pub fn recover_session(
-        &mut self,
-        name: impl Into<String>,
-        dir: &Path,
-        source: E,
-    ) -> Result<RecoveryReport, WebhouseError> {
-        let name = name.into();
-        let (mut session, report) = Session::recover(dir, source)?;
-        session.set_obs_label(&name);
-        self.sessions.insert(name, session);
-        Ok(report)
     }
 
     /// Recovers many crashed journaled sessions concurrently on the

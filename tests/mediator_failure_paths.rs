@@ -2,8 +2,13 @@
 //! already-known tree byte-for-byte unchanged (execution is
 //! transactional — all answers graft or none do), and the webhouse
 //! session must reject partial answers before they reach the knowledge.
+//! The transactional cases run twice: on `Completion::execute` over a
+//! document, and through `Session::answer_with_mediation` against a
+//! source changed under the session — both drive the one completion
+//! loop, `Completion::run`.
 
-use iixml_mediator::{Completion, CompletionError, LocalQuery};
+use iixml_core::io::write_incomplete_xml;
+use iixml_mediator::{Completion, CompletionError, LocalQuery, Mediator};
 use iixml_query::{PsQuery, PsQueryBuilder};
 use iixml_tree::{Alphabet, DataTree, Nid};
 use iixml_values::{Cond, Rat};
@@ -188,4 +193,114 @@ fn degraded_answers_keep_the_prior_knowledge() {
     }
     assert!(session.data_tree().unwrap().same_tree(&before));
     assert_eq!(session.quarantines, 0);
+}
+
+/// [`doc`] plus a `c` child of the root (node 4, value 7).
+fn doc_with_c(alpha: &mut Alphabet) -> DataTree {
+    let mut t = doc(alpha);
+    let c = alpha.intern("c");
+    t.add_child(t.root(), Nid(4), c, Rat::from(7)).unwrap();
+    t
+}
+
+/// Mediates `root{a/b, c}` on a session that fetched `root/a` and
+/// `root/c[=7]` from [`doc_with_c`] (so it knows both `a` nodes but
+/// nothing below them, and node 4 but not whether other `c` nodes
+/// exist), after the source document was changed by `change`. The
+/// completion asks `root/c` at node 0 (its answer ships the known node
+/// 4 again), then `a/b` at node 1, then `a/b` at node 2. Returns the
+/// error and the number of local queries the source answered during
+/// the call, after checking that the knowledge came out byte-identical.
+fn mediate_on_changed_source(change: impl FnOnce(&mut DataTree)) -> (WebhouseError, usize) {
+    let mut alpha = Alphabet::new();
+    let mut source_doc = doc_with_c(&mut alpha);
+    let q_a = query_all(&mut alpha);
+    let mut bld = PsQueryBuilder::new(&mut alpha, "root", Cond::True);
+    let root = bld.root();
+    bld.child(root, "c", Cond::eq(Rat::from(7))).unwrap();
+    let q_c7 = bld.build();
+    let mut bld = PsQueryBuilder::new(&mut alpha, "root", Cond::True);
+    let root = bld.root();
+    let a = bld.child(root, "a", Cond::True).unwrap();
+    bld.child(a, "b", Cond::True).unwrap();
+    bld.child(root, "c", Cond::True).unwrap();
+    let q = bld.build();
+
+    let mut session = Session::open(alpha.clone(), Source::new(source_doc.clone(), None));
+    session.fetch(&q_a).unwrap();
+    session.fetch(&q_c7).unwrap();
+    let anchors: Vec<Option<Nid>> = Mediator::new(session.knowledge())
+        .complete(&q)
+        .queries
+        .iter()
+        .map(|lq| lq.at)
+        .collect();
+    assert_eq!(anchors, [Some(Nid(0)), Some(Nid(1)), Some(Nid(2))]);
+
+    change(&mut source_doc);
+    session.source_mut().update(source_doc);
+    let before = write_incomplete_xml(session.knowledge(), &alpha);
+    let served = session.source().queries_served;
+    let err = session
+        .answer_with_mediation(&q)
+        .expect_err("the source changed under the session");
+    assert_eq!(
+        write_incomplete_xml(session.knowledge(), &alpha),
+        before,
+        "a failed mediation changed the knowledge"
+    );
+    (err, session.source().queries_served - served)
+}
+
+/// Rebuilds `t` without the subtree rooted at node `gone`.
+fn without(t: &DataTree, gone: Nid) -> DataTree {
+    let root = t.root();
+    let mut out = DataTree::new(t.nid(root), t.label(root), t.value(root));
+    for n in t.preorder().into_iter().skip(1) {
+        let parent = t.parent(n).and_then(|p| out.by_nid(t.nid(p)));
+        if let (Some(p), false) = (parent, t.nid(n) == gone) {
+            out.add_child(p, t.nid(n), t.label(n), t.value(n)).unwrap();
+        }
+    }
+    out
+}
+
+#[test]
+fn session_missing_anchor_fails_and_leaves_knowledge_untouched() {
+    // Node 1, the second query's anchor, is gone.
+    let (err, asked) = mediate_on_changed_source(|t| *t = without(t, Nid(1)));
+    assert_eq!(
+        err,
+        WebhouseError::Source(SourceError::MissingAnchor(Nid(1)))
+    );
+    assert_eq!(asked, 1);
+}
+
+#[test]
+fn session_graft_conflict_fails_and_leaves_knowledge_untouched() {
+    // Node 4 now carries another value: the first answer conflicts with
+    // the known node, so the queries at nodes 1 and 2 are never asked.
+    let (err, asked) = mediate_on_changed_source(|t| {
+        let n4 = t.by_nid(Nid(4)).unwrap();
+        t.set_value(n4, Rat::from(8));
+    });
+    match err {
+        WebhouseError::Completion(CompletionError::Graft { reason }) => {
+            assert!(reason.contains("disagrees"), "unexpected reason: {reason}")
+        }
+        other => panic!("expected a graft failure, got {other:?}"),
+    }
+    assert_eq!(asked, 1);
+}
+
+#[test]
+fn session_late_failure_rolls_back_earlier_grafts() {
+    // Node 2, the last anchor, is gone: the answers at nodes 0 and 1
+    // graft (the second adds node 3), then the query at node 2 fails.
+    let (err, asked) = mediate_on_changed_source(|t| *t = without(t, Nid(2)));
+    assert_eq!(
+        err,
+        WebhouseError::Source(SourceError::MissingAnchor(Nid(2)))
+    );
+    assert_eq!(asked, 2);
 }
