@@ -35,6 +35,10 @@ use iixml_values::Rat;
 use iixml_webhouse::{Session, Source};
 use std::time::Instant;
 
+/// Counts allocations for the rows that report them.
+#[global_allocator]
+static ALLOC: iixml_bench::allocs::Counting = iixml_bench::allocs::Counting;
+
 /// `--bench <area>`: runs the area, prints and writes its rows, and
 /// exits with the bound check's verdict.
 fn bench(name: &str, quick: bool) -> ! {

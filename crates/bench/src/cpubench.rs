@@ -4,7 +4,8 @@
 //! variants:
 //!
 //! * **pre** — the preserved structural paths
-//!   (`refine::intersect_reference`, `IncompleteTree::minimize_reference`):
+//!   (`iixml_oracle::intersect_reference`,
+//!   `IncompleteTree::minimize_reference`):
 //!   hash-probed pair tables, nested-`Vec` signatures, fresh join
 //!   buffers per emitted combination. These are the verbatim
 //!   pre-interning code paths, so the pre row *is* the old baseline
@@ -13,21 +14,36 @@
 //!   reused scratch arena per call.
 //!
 //! Both kernels are sequential (DESIGN §8), so the gated rows are the
-//! **sequential speedups** — pre ÷ post per kernel, `>= 1.3` each. An
+//! **sequential speedups** — pre ÷ post per kernel, `>= 1.3` each, from
+//! the medians of interleaved pre and post samples. An
 //! informational micro-bench rides along: `sig_interning`, the old
 //! `format!`-keyed initial partition vs the interned
 //! `(SymTarget, IntervalSet)` keying that replaced it.
+//!
+//! Two ungated rows time the whole Refine step as a `refine_heavy`
+//! session runs it: typed 64-product catalogs refined through
+//! `Refiner::refine` by 96 distinct price windows in random order, with
+//! metric collection off as in the server. `refine_step_us` is the
+//! median over samples of the mean time of a step that changes the
+//! knowledge, and `refine_step_allocs` the allocations such a step
+//! makes (counted when the binary installs [`crate::allocs::Counting`],
+//! as `report` does; the count repeats exactly).
 //!
 //! `cargo run -p iixml-bench --bin report -- --bench cpu` runs these and
 //! writes `BENCH_cpu.json`; `--quick` shrinks workloads and sample
 //! counts for CI smoke runs.
 
-use crate::harness::median_ns;
+use crate::harness::median;
 use crate::refine_blowup_tree;
 use crate::row::Row;
-use iixml_core::{IncompleteTree, SymTarget};
+use iixml_core::type_intersect::restrict_to_type;
+use iixml_core::{IncompleteTree, Refiner, SymTarget};
+use iixml_gen::rng::DetRng;
+use iixml_query::{parse_ps_query, Answer, PsQuery};
+use iixml_tree::Alphabet;
 use iixml_values::IntervalSet;
 use std::collections::HashMap;
+use std::time::Instant;
 
 /// The gated metrics of this area.
 pub const GATES: &[&str] = &["intersect_seq_speedup", "minimize_seq_speedup"];
@@ -42,11 +58,136 @@ pub struct KernelResult {
     pub post_ns: f64,
 }
 
+impl KernelResult {
+    /// Times `pre` and `post` in `samples` interleaved rounds (at least
+    /// 2, after one warm-up call of each), alternating which of the two
+    /// runs first, and keeps each one's median: a host whose speed
+    /// drifts during the run moves both medians alike instead of only
+    /// the variant timed second.
+    fn interleaved(
+        name: &'static str,
+        samples: usize,
+        mut pre: impl FnMut(),
+        mut post: impl FnMut(),
+    ) -> KernelResult {
+        let time = |f: &mut dyn FnMut()| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_nanos() as f64
+        };
+        pre();
+        post();
+        let (mut pres, mut posts) = (Vec::new(), Vec::new());
+        for round in 0..samples.max(2) {
+            if round % 2 == 0 {
+                pres.push(time(&mut pre));
+                posts.push(time(&mut post));
+            } else {
+                posts.push(time(&mut post));
+                pres.push(time(&mut pre));
+            }
+        }
+        KernelResult {
+            name,
+            pre_ns: median(pres),
+            post_ns: median(posts),
+        }
+    }
+}
+
 /// The full CPU-kernel report.
 pub struct CpuReport {
     /// The two kernels, then `sig_interning` (string keys as pre,
     /// interned keys as post).
     pub kernels: Vec<KernelResult>,
+    /// The `refine_heavy`-shaped Refine steps.
+    pub steps: StepResult,
+}
+
+/// Refine steps that change the knowledge, on `refine_heavy`-shaped
+/// chains.
+pub struct StepResult {
+    /// Median over samples of the mean ns per step.
+    pub ns: f64,
+    /// Allocations per step (0 without [`crate::allocs::Counting`]).
+    pub allocs: f64,
+}
+
+/// One `refine_heavy`-shaped session: a typed start over a 64-product
+/// catalog, and `windows` distinct price-window Fetches
+/// `catalog/product{name, price[>= lo & < lo + 5]}` in random order,
+/// with their answers.
+struct WindowChain {
+    alpha: Alphabet,
+    start: IncompleteTree,
+    steps: Vec<(PsQuery, Answer)>,
+}
+
+fn window_chain(windows: usize, seed: u64) -> WindowChain {
+    let mut rng = DetRng::new(seed);
+    let c = iixml_gen::catalog(64, rng.next_u64());
+    let mut alpha = c.alpha.clone();
+    let mut order: Vec<usize> = (0..98).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let steps = order[..windows.min(order.len())]
+        .iter()
+        .map(|&k| {
+            let lo = 10 + 5 * k;
+            let text = format!("catalog/product{{name, price[>= {lo} & < {}]}}", lo + 5);
+            let q = parse_ps_query(&text, &mut alpha).expect("window queries parse");
+            let ans = q.eval(&c.doc);
+            (q, ans)
+        })
+        .collect();
+    let labels: Vec<_> = alpha.labels().collect();
+    let start = restrict_to_type(&IncompleteTree::universal(&labels), &c.ty);
+    WindowChain {
+        alpha,
+        start,
+        steps,
+    }
+}
+
+/// Runs every chain through `Refiner::refine` `samples` times (after
+/// one warm-up pass), timing and counting each step that changes the
+/// knowledge, with metric collection off.
+fn refine_steps(chains: &[WindowChain], samples: usize) -> StepResult {
+    let was = iixml_obs::enabled();
+    iixml_obs::set_enabled(false);
+    let mut means = Vec::with_capacity(samples);
+    let mut allocs = 0.0;
+    for _ in 0..=samples.max(2) {
+        let (mut ns, mut count, mut steps) = (0u128, 0u64, 0u64);
+        for c in chains {
+            let mut refiner = Refiner::from_tree(c.start.clone());
+            for (q, ans) in &c.steps {
+                let a0 = crate::allocs::count();
+                let t0 = Instant::now();
+                let implied = refiner
+                    .refine(&c.alpha, q, ans)
+                    .expect("window answers refine");
+                let dt = t0.elapsed().as_nanos();
+                let da = crate::allocs::count() - a0;
+                if !implied {
+                    ns += dt;
+                    count += da;
+                    steps += 1;
+                }
+            }
+        }
+        assert!(steps > 0, "every window chain changes the knowledge");
+        means.push(ns as f64 / steps as f64);
+        allocs = count as f64 / steps as f64;
+    }
+    iixml_obs::set_enabled(was);
+    // The first pass warmed up.
+    means.remove(0);
+    StepResult {
+        ns: median(means),
+        allocs,
+    }
 }
 
 /// Replicates the pre-interning initial-partition keying: two
@@ -91,49 +232,54 @@ fn partition_init_interned_keys(it: &IncompleteTree) -> usize {
 /// the self-product of the Example 3.2 chain; `quick` shrinks the chain
 /// and sample counts for CI smoke runs.
 pub fn run(quick: bool) -> CpuReport {
-    iixml_obs::set_enabled(true);
     let chain_n = if quick { 5 } else { 7 };
     let samples = if quick { 3 } else { 7 };
+    let chains: Vec<WindowChain> = (0..if quick { 1 } else { 4 })
+        .map(|seed| window_chain(96, seed))
+        .collect();
+    let steps = refine_steps(&chains, samples);
+
+    iixml_obs::set_enabled(true);
 
     let base = refine_blowup_tree(chain_n);
     let product = iixml_core::refine::intersect(&base, &base).expect("self-product is compatible");
 
-    let intersect = KernelResult {
-        name: "intersect",
-        pre_ns: median_ns(samples, || {
-            let p = iixml_core::refine::intersect_reference(&base, &base)
+    let intersect = KernelResult::interleaved(
+        "intersect",
+        samples,
+        || {
+            let p = iixml_oracle::intersect_reference(&base, &base)
                 .expect("self-product is compatible");
             assert!(p.ty().sym_count() > 0);
-        }),
-        post_ns: median_ns(samples, || {
+        },
+        || {
             let p =
                 iixml_core::refine::intersect(&base, &base).expect("self-product is compatible");
             assert!(p.ty().sym_count() > 0);
-        }),
-    };
-    let minimize = KernelResult {
-        name: "minimize",
-        pre_ns: median_ns(samples, || {
+        },
+    );
+    let minimize = KernelResult::interleaved(
+        "minimize",
+        samples,
+        || {
             let m = product.minimize_reference();
             assert!(m.ty().sym_count() <= product.ty().sym_count());
-        }),
-        post_ns: median_ns(samples, || {
+        },
+        || {
             let m = product.minimize();
             assert!(m.ty().sym_count() <= product.ty().sym_count());
-        }),
-    };
-    let sig_interning = KernelResult {
-        name: "sig_interning",
-        pre_ns: median_ns(samples * 3, || {
-            assert!(partition_init_string_keys(&product) > 0);
-        }),
-        post_ns: median_ns(samples * 3, || {
-            assert!(partition_init_interned_keys(&product) > 0);
-        }),
-    };
+        },
+    );
+    let sig_interning = KernelResult::interleaved(
+        "sig_interning",
+        samples * 3,
+        || assert!(partition_init_string_keys(&product) > 0),
+        || assert!(partition_init_interned_keys(&product) > 0),
+    );
 
     CpuReport {
         kernels: vec![intersect, minimize, sig_interning],
+        steps,
     }
 }
 
@@ -153,6 +299,18 @@ impl CpuReport {
                 speedup
             });
         }
+        rows.push(Row::lower(
+            "cpu",
+            "refine_step_us",
+            "us",
+            self.steps.ns / 1e3,
+        ));
+        rows.push(Row::lower(
+            "cpu",
+            "refine_step_allocs",
+            "count",
+            self.steps.allocs,
+        ));
         rows
     }
 }
@@ -168,9 +326,8 @@ mod tests {
     fn reference_and_shipping_kernels_agree() {
         let base = refine_blowup_tree(3);
         let fast = iixml_core::refine::intersect(&base, &base).unwrap();
-        let slow = iixml_oracle::root_reachable(
-            &iixml_core::refine::intersect_reference(&base, &base).unwrap(),
-        );
+        let slow =
+            iixml_oracle::root_reachable(&iixml_oracle::intersect_reference(&base, &base).unwrap());
         assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
         assert_eq!(
             format!("{:?}", fast.minimize()),
@@ -191,7 +348,7 @@ mod tests {
     #[test]
     fn quick_run_carries_every_gate() {
         let rows = run(true).rows();
-        assert_eq!(rows.len(), 9);
+        assert_eq!(rows.len(), 11);
         assert!(rows.iter().all(|r| r.value > 0.0));
         assert_eq!(crate::row::gated(&rows), GATES);
     }

@@ -10,6 +10,7 @@
 //! [`row::Row`]s; `report --bench <area>` prints them, writes
 //! `BENCH_<area>.json`, and exits nonzero when a bounded row fails.
 
+pub mod allocs;
 pub mod containbench;
 pub mod cpubench;
 pub mod harness;
@@ -18,6 +19,10 @@ pub mod parbench;
 pub mod row;
 pub mod servebench;
 pub mod storebench;
+
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: allocs::Counting = allocs::Counting;
 
 /// One gated bench area: its name, its gated metrics, and its runner
 /// (`quick` selects the CI smoke sizes).

@@ -85,6 +85,15 @@ impl SAtom {
         SAtom { entries }
     }
 
+    /// Builds an atom from entries already strictly sorted by symbol.
+    pub(crate) fn from_sorted(entries: Vec<(Sym, Mult)>) -> SAtom {
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "atom entries not strictly sorted"
+        );
+        SAtom { entries }
+    }
+
     /// The sorted entries.
     pub fn entries(&self) -> &[(Sym, Mult)] {
         &self.entries
@@ -169,6 +178,24 @@ impl ConditionalTreeType {
         let s = Sym(self.symbols.len() as u32);
         self.symbols.push(SymbolInfo { target, cond });
         self.mu.push(unset_mu());
+        s
+    }
+
+    /// An empty type with room for `n` symbols, filled by
+    /// [`push_symbol`](Self::push_symbol).
+    pub(crate) fn with_capacity(n: usize) -> ConditionalTreeType {
+        ConditionalTreeType {
+            symbols: Vec::with_capacity(n),
+            mu: Vec::with_capacity(n),
+            roots: Vec::new(),
+        }
+    }
+
+    /// Adds a symbol together with its right-hand side.
+    pub(crate) fn push_symbol(&mut self, info: SymbolInfo, mu: Arc<Disjunction>) -> Sym {
+        let s = Sym(self.symbols.len() as u32);
+        self.symbols.push(info);
+        self.mu.push(mu);
         s
     }
 

@@ -107,6 +107,26 @@ impl IncompleteTree {
         Ok(IncompleteTree { nodes, ty })
     }
 
+    /// An incomplete tree whose parts are already in [`new`](Self::new)'s
+    /// normal form: every node-targeted symbol targets a node of
+    /// `nodes`, with a condition that is empty or `{ν(n)}`.
+    pub(crate) fn from_normalized(
+        nodes: BTreeMap<Nid, NodeInfo>,
+        ty: ConditionalTreeType,
+    ) -> IncompleteTree {
+        debug_assert!(
+            ty.syms().all(|s| match ty.info(s).target {
+                SymTarget::Lab(_) => true,
+                SymTarget::Node(n) => nodes.get(&n).is_some_and(|i| {
+                    let cond = &ty.info(s).cond;
+                    cond.is_empty() || cond.as_singleton() == Some(i.value)
+                }),
+            }),
+            "a node symbol outside its node's normal form"
+        );
+        IncompleteTree { nodes, ty }
+    }
+
     /// The incomplete tree representing *all* data trees over the given
     /// labels — the zero-knowledge starting point of a Refine chain.
     pub fn universal(labels: &[Label]) -> IncompleteTree {

@@ -150,6 +150,19 @@ impl IncompleteTree {
         }
     }
 
+    /// Counts `self` as a tree [`minimized`](Self::minimized) would
+    /// borrow, without running it: the caller knows `self` is trim, and
+    /// its certificate ([`crate::refine::CertifiedProduct`]) shows the
+    /// rest.
+    pub(crate) fn keep_certified(self) -> IncompleteTree {
+        debug_assert!(
+            self.in_rebuild_order() && self.keys_distinct(),
+            "a certified product minimize would rebuild"
+        );
+        OBS_UNCHANGED.incr();
+        self
+    }
+
     /// Does [`rebuild`](Self::rebuild) keep this tree's order? True iff
     /// the root list, every µ's atom list and every atom's entries are
     /// strictly sorted (the rebuild sorts and dedups all three).

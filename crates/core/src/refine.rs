@@ -28,7 +28,7 @@
 //! Refine would leave `rep` as it is, so the knowledge stays as it is.
 
 use crate::answer::{answer_trim, implies, Verdict};
-use crate::ctt::{ConditionalTreeType, Disjunction, SAtom, Sym, SymTarget};
+use crate::ctt::{ConditionalTreeType, Disjunction, SAtom, Sym, SymTarget, SymbolInfo};
 use crate::itree::{keep_unless_changed, IncompleteTree, ItreeError, NodeInfo};
 use iixml_obs::{keys, LazyCounter, LazyHistogram};
 use iixml_query::{Answer, MatchKind, PsQuery, QNodeRef};
@@ -36,6 +36,7 @@ use iixml_tree::{Alphabet, DataTree, Label, Mult, Nid};
 use iixml_values::IntervalSet;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Maximum `n1 * n2` for the dense pair table; larger products fall
@@ -46,6 +47,8 @@ const DENSE_PAIR_LIMIT: usize = 1 << 22;
 static OBS_STEPS: LazyCounter = LazyCounter::new(keys::CORE_REFINE_STEPS);
 /// Steps whose pair the knowledge already implied (no product built).
 static OBS_IMPLIED: LazyCounter = LazyCounter::new(keys::CORE_REFINE_IMPLIED);
+/// Steps that kept a trim product its certificate shows minimal.
+static OBS_CERTIFIED: LazyCounter = LazyCounter::new(keys::CORE_REFINE_CERTIFIED);
 /// Size of each `T_{q,A}` built by [`query_answer_tree`].
 static OBS_TQA_SIZE: LazyHistogram = LazyHistogram::new(keys::CORE_REFINE_TQA_SIZE);
 /// Atoms emitted per `⋊⋉` join of two multiplicity atoms.
@@ -240,6 +243,18 @@ fn mult_from(mandatory: bool, bounded: bool) -> Mult {
     }
 }
 
+/// `c1 ∩ c2`. A side that is `all`, or equal to the other side, is the
+/// intersection as it stands, so only a real meet walks both sets.
+fn meet_conds(c1: &IntervalSet, c2: &IntervalSet) -> IntervalSet {
+    if c2.is_all() || c1 == c2 {
+        c1.clone()
+    } else if c1.is_all() {
+        c2.clone()
+    } else {
+        c1.intersect(c2)
+    }
+}
+
 /// Product-table slot of a pair never probed.
 const UNPROBED: u32 = u32::MAX;
 /// Product-table slot of a pair that can type no node.
@@ -294,9 +309,8 @@ impl PairTable {
     }
 }
 
-/// What pairing needs to know about one symbol, looked up once per
-/// `intersect` call rather than once per probed pair (a data node's
-/// label and membership are `BTreeMap` lookups).
+/// What pairing needs to know about one symbol, gathered once per
+/// `intersect` call rather than once per probed pair.
 #[derive(Clone, Copy)]
 struct Pairing {
     /// The symbol's own target.
@@ -307,29 +321,45 @@ struct Pairing {
     known_to_other: bool,
 }
 
+/// The pairing facts of `t`'s symbols. The data-node facts come from one
+/// merge walk of the node-targeted symbols, sorted by node, against the
+/// two trees' (sorted) node maps, not from two map lookups per symbol.
 fn pairings(t: &IncompleteTree, other: &IncompleteTree) -> Vec<Pairing> {
     let ty = t.ty();
-    ty.syms()
+    let mut by_node: Vec<(Nid, u32)> = Vec::new();
+    let mut out: Vec<Pairing> = ty
+        .syms()
         .map(|s| {
             let target = ty.info(s).target;
-            let (label, known_to_other) = match target {
-                SymTarget::Lab(l) => (Some(l), false),
-                SymTarget::Node(n) => (
-                    t.node_info(n).map(|i| i.label),
-                    other.nodes().contains_key(&n),
-                ),
+            let label = match target {
+                SymTarget::Lab(l) => Some(l),
+                SymTarget::Node(n) => {
+                    by_node.push((n, s.0));
+                    None
+                }
             };
             Pairing {
                 target,
                 label,
-                known_to_other,
+                known_to_other: false,
             }
         })
-        .collect()
+        .collect();
+    by_node.sort_unstable();
+    let mut mine = t.nodes().iter().peekable();
+    let mut theirs = other.nodes().keys().peekable();
+    for (n, s) in by_node {
+        while mine.next_if(|&(&m, _)| m < n).is_some() {}
+        while theirs.next_if(|&&m| m < n).is_some() {}
+        let p = &mut out[s as usize];
+        p.label = mine.peek().filter(|&(&m, _)| m == n).map(|(_, i)| i.label);
+        p.known_to_other = theirs.peek() == Some(&&n);
+    }
+    out
 }
 
 /// The product symbols of one `intersect` call, discovered on demand:
-/// a pair gets a discovery id the first time the ⋊⋉ join probes it and
+/// a pair gets a discovery id the first time a join probes it and
 /// finds it compatible (targets agree, conditions overlap), and is
 /// explored once an emitted atom (or the root list) mentions it.
 struct Product<'a> {
@@ -340,6 +370,9 @@ struct Product<'a> {
     table: PairTable,
     /// `(s1, s2)` and the pair's target, by discovery id.
     pairs: Vec<(Sym, Sym, SymTarget)>,
+    /// By discovery id: the pair's condition `cond(s1) ∩ cond(s2)`,
+    /// intersected once, when the pair is first probed.
+    conds: Vec<IntervalSet>,
     /// By discovery id: already on the exploration stack (reachable).
     queued: Vec<bool>,
 }
@@ -373,16 +406,18 @@ impl Product<'_> {
         match self.table.get(s1, s2) {
             INCOMPATIBLE => None,
             UNPROBED => {
-                let target = self
-                    .target(s1, s2)
-                    .filter(|_| (self.ty1.info(s1).cond).overlaps(&self.ty2.info(s2).cond));
-                let Some(target) = target else {
+                let pair = self.target(s1, s2).and_then(|target| {
+                    let cond = meet_conds(&self.ty1.info(s1).cond, &self.ty2.info(s2).cond);
+                    (!cond.is_empty()).then_some((target, cond))
+                });
+                let Some((target, cond)) = pair else {
                     self.table.set(s1, s2, INCOMPATIBLE);
                     return None;
                 };
                 let id = self.pairs.len() as u32;
                 self.table.set(s1, s2, id);
                 self.pairs.push((s1, s2, target));
+                self.conds.push(cond);
                 self.queued.push(false);
                 Some(Sym(id))
             }
@@ -399,34 +434,191 @@ impl Product<'_> {
     }
 }
 
-/// Scratch arena for the ⋊⋉ join: every buffer the join needs per atom
-/// pair (and per emitted combination), allocated once per `intersect`
-/// call and reused across all product symbols. The buffers carry no
-/// state between items — each use starts with `clear()` — so reuse
-/// cannot affect results, only allocator traffic.
+/// The atoms of `t2`'s µ's whose entries are all `⋆` and type nodes of
+/// pairwise distinct labels — the `τ_a⋆ …` atom every universal `τ_a`
+/// of `T_{q,A}` shares, and the atom of a fail symbol `τ̂_m` for a
+/// child of `m` that is a leaf of the pattern. An entry of the other
+/// side can pair only with the one entry of its own label there, so a
+/// join with such an atom is a copy (see [`copy_atom`]). Found per
+/// symbol the first time a pair with it is explored.
+struct LabelKeyed {
+    /// By `t2` symbol: where its µ's atoms start in `atoms`, once
+    /// looked at.
+    of_sym: Vec<Option<u32>>,
+    /// By atom: its `(label, symbol)` entries' range in `entries`
+    /// (sorted by label), or `None` when the atom is not label-keyed.
+    atoms: Vec<Option<(u32, u32)>>,
+    entries: Vec<(Label, Sym)>,
+}
+
+impl LabelKeyed {
+    fn new(n2: usize) -> LabelKeyed {
+        LabelKeyed {
+            of_sym: vec![None; n2],
+            atoms: Vec::new(),
+            entries: Vec::new(),
+        }
+    }
+
+    /// Where `s2`'s µ's atoms start in `atoms`.
+    fn atoms_of(&mut self, s2: Sym, ty2: &ConditionalTreeType, pairing2: &[Pairing]) -> u32 {
+        if let Some(first) = self.of_sym[s2.ix()] {
+            return first;
+        }
+        let first = self.atoms.len() as u32;
+        for a2 in ty2.mu(s2).atoms() {
+            let start = self.entries.len();
+            for &(c2, m) in a2.entries() {
+                match pairing2[c2.ix()].label {
+                    Some(l) if m == Mult::Star => self.entries.push((l, c2)),
+                    _ => break,
+                }
+            }
+            let keys = &mut self.entries[start..];
+            keys.sort_unstable();
+            let keyed = keys.len() == a2.len() && keys.windows(2).all(|w| w[0].0 != w[1].0);
+            if keyed {
+                self.atoms
+                    .push(Some((start as u32, self.entries.len() as u32)));
+            } else {
+                self.entries.truncate(start);
+                self.atoms.push(None);
+            }
+        }
+        self.of_sym[s2.ix()] = Some(first);
+        first
+    }
+
+    /// The entries of atom `k` by label, when it is label-keyed.
+    fn keys(&self, k: usize) -> Option<&[(Label, Sym)]> {
+        self.atoms[k].map(|(lo, hi)| &self.entries[lo as usize..hi as usize])
+    }
+}
+
+/// The atoms the joins emit, over discovery ids, back to back in one
+/// arena: no allocation per atom until numbering copies each kept atom
+/// out at its final size.
+#[derive(Default)]
+struct Emitted {
+    entries: Vec<(Sym, Mult)>,
+    /// Each atom's end in `entries`; it starts where the previous ends.
+    ends: Vec<u32>,
+    /// By discovery id: the range of the pair's atoms in `ends`.
+    of_pair: Vec<(u32, u32)>,
+}
+
+impl Emitted {
+    /// Where the next atom's entries start.
+    fn open(&self) -> usize {
+        self.ends.last().map_or(0, |&e| e as usize)
+    }
+
+    /// Ends the atom whose entries were pushed since [`open`](Self::open).
+    fn close(&mut self) {
+        self.ends.push(self.entries.len() as u32);
+    }
+
+    /// Atom `k`'s range in `entries`.
+    fn span(&self, k: usize) -> (usize, usize) {
+        let start = if k == 0 { 0 } else { self.ends[k - 1] as usize };
+        (start, self.ends[k] as usize)
+    }
+}
+
+/// One constrained entry of a ⋊⋉ join whose partner choice branches:
+/// bounded (`1`/`?`) or mandatory (`1`/`+`), with its partner pairs in
+/// `JoinScratch::partners[lo..hi]`.
+#[derive(Clone, Copy)]
+struct Constraint {
+    mandatory: bool,
+    bounded: bool,
+    lo: u32,
+    hi: u32,
+}
+
+impl Constraint {
+    /// Choices: each partner, and no partner when not mandatory.
+    fn options(self) -> u32 {
+        self.hi - self.lo + u32::from(!self.mandatory)
+    }
+}
+
+/// Scratch arena for the ⋊⋉ join, allocated once per `intersect` call
+/// and reused for every atom pair. The buffers carry no state between
+/// joins — each use starts by clearing them — so reuse cannot affect
+/// results, only allocator traffic.
 #[derive(Default)]
 struct JoinScratch {
-    pairs: Vec<(usize, usize, Sym)>,
-    constraints: Vec<Constraint>,
+    /// Compatible entry pairs `(i, j, product symbol)`, in `i`-major
+    /// order.
+    pairs: Vec<(u32, u32, Sym)>,
+    /// Where each side-1 entry's pairs start in `pairs` (plus the end).
+    starts1: Vec<u32>,
+    /// Where each side-2 entry's pairs start in the second half of
+    /// `partners` (plus the end).
+    starts2: Vec<u32>,
+    /// Pair indices: `0..n` (the side-1 groups), then grouped by side-2
+    /// entry.
+    partners: Vec<u32>,
+    /// The constraints whose choice branches, in entry order.
+    branching: Vec<Constraint>,
+    /// By pair: designated by a constraint with one forced choice.
+    forced: Vec<bool>,
+    /// The current option of each branching constraint.
+    choice: Vec<u32>,
     included: Vec<bool>,
     designated: Vec<bool>,
-    choice: Vec<Option<usize>>,
 }
 
 /// Intersection of two incomplete trees (Lemma 3.3):
-/// `rep(result) = rep(t1) ∩ rep(t2)`.
+/// `rep(result) = rep(t1) ∩ rep(t2)`. [`intersect_certified`] without
+/// the certificate.
+pub fn intersect(t1: &IncompleteTree, t2: &IncompleteTree) -> Result<IncompleteTree, ItreeError> {
+    intersect_certified(t1, t2).map(|p| p.tree)
+}
+
+/// A product of [`intersect_certified`] together with what its
+/// construction shows.
+#[derive(Clone, Debug)]
+pub struct CertifiedProduct {
+    /// The product, as [`intersect`] returns it.
+    pub tree: IncompleteTree,
+    /// No two symbols share a `(target, cond)` key. Every root list,
+    /// atom list and atom of the product is strictly sorted by
+    /// construction, so this is what [`IncompleteTree::minimized`]
+    /// checks besides trimness: a trim product it certifies is minimal
+    /// as it stands.
+    pub minimal_if_trim: bool,
+    /// Atom pairs whose ⋊⋉ join was a copy of the `t1` atom (see
+    /// [`intersect_certified`]).
+    pub copies: usize,
+}
+
+/// Intersection of two incomplete trees (Lemma 3.3), with its
+/// certificate: `rep(result.tree) = rep(t1) ∩ rep(t2)`.
 ///
 /// The product is built from the root pairs outward: a pair is explored
-/// only once the root list or an atom the ⋊⋉ join emits mentions it.
+/// only once the root list or an atom a join emits mentions it.
 /// Symbols are then numbered in ascending `(s1, s2)` order, so the
-/// result is exactly [`intersect_reference`]'s full product restricted
-/// to its root-reachable symbols (the symbols `trim()` could keep), and
-/// its `trim()` is byte-identical.
+/// result is exactly the full product of Lemma 3.3 (`iixml-oracle`'s
+/// `intersect_reference`) restricted to its root-reachable symbols (the
+/// symbols `trim()` could keep), and its `trim()` is byte-identical.
+///
+/// Each compatible pair's condition is intersected once, when the pair
+/// is first probed. A join with a `t2` atom whose entries are all `⋆`
+/// with distinct labels copies the `t1` atom ([`copy_atom`]) unless that
+/// atom has a `?` entry. Every root list, atom list and atom comes out
+/// strictly sorted, and a cheap hash of each symbol's `(target, cond)`
+/// key, taken while numbering, shows whether the keys are distinct
+/// ([`CertifiedProduct::minimal_if_trim`]).
 ///
 /// Fails with [`ItreeError::IncompatibleNode`] when the trees disagree on
 /// a shared data node's label or value (in which case the intersection is
 /// empty anyway — the paper assumes compatibility).
-pub fn intersect(t1: &IncompleteTree, t2: &IncompleteTree) -> Result<IncompleteTree, ItreeError> {
+pub fn intersect_certified(
+    t1: &IncompleteTree,
+    t2: &IncompleteTree,
+) -> Result<CertifiedProduct, ItreeError> {
     // Union the data nodes, checking compatibility. Clone the larger
     // side and fold the smaller one in, so the refinement loop (which
     // intersects a shrinking tree with a fresh product each round) never
@@ -454,6 +646,7 @@ pub fn intersect(t1: &IncompleteTree, t2: &IncompleteTree) -> Result<IncompleteT
         pairing2: pairings(t2, t1),
         table: PairTable::for_sizes(ty1.sym_count(), ty2.sym_count()),
         pairs: Vec::new(),
+        conds: Vec::new(),
         queued: Vec::new(),
     };
     let mut stack: Vec<Sym> = Vec::new();
@@ -467,238 +660,186 @@ pub fn intersect(t1: &IncompleteTree, t2: &IncompleteTree) -> Result<IncompleteT
         }
     }
 
-    // Explore: the µ of each reachable pair is the union over disjunct
+    // Explore: the µ of each reachable pair is the union over atom
     // pairs of the joined atoms (the hot inner loop of Algorithm
-    // Refine), computed with one reused scratch arena; every pair an
-    // emitted atom mentions is reachable too.
+    // Refine); every pair an emitted atom mentions is reachable too.
+    let mut keyed = LabelKeyed::new(ty2.sym_count());
     let mut scratch = JoinScratch::default();
-    let mut mus: Vec<Vec<Joined>> = Vec::new();
+    let mut emitted = Emitted::default();
+    let mut copies = 0;
     while let Some(p) = stack.pop() {
         let (s1, s2, _) = product.pairs[p.ix()];
-        let mu = pair_mu(&mut product, s1, s2, &mut scratch);
-        for &(c, _) in mu.iter().flatten() {
-            product.reach(c, &mut stack);
+        let first_atom = emitted.ends.len();
+        let first_entry = emitted.open();
+        let keyed_from = keyed.atoms_of(s2, ty2, &product.pairing2) as usize;
+        for a1 in ty1.mu(s1).atoms() {
+            let copyable = a1.entries().iter().all(|&(_, m)| m != Mult::Opt);
+            for (k, a2) in ty2.mu(s2).atoms().iter().enumerate() {
+                match keyed.keys(keyed_from + k) {
+                    Some(keys) if copyable => {
+                        copy_atom(a1, keys, &mut product, &mut emitted);
+                        copies += 1;
+                    }
+                    _ => join_atoms(a1, a2, &mut product, &mut scratch, &mut emitted),
+                }
+            }
         }
-        mus.resize_with(product.pairs.len(), Vec::new);
-        mus[p.ix()] = mu;
+        emitted.of_pair.resize(product.pairs.len(), (0, 0));
+        emitted.of_pair[p.ix()] = (first_atom as u32, emitted.ends.len() as u32);
+        for i in first_entry..emitted.entries.len() {
+            product.reach(emitted.entries[i].0, &mut stack);
+        }
     }
 
     // Number the reachable pairs in ascending (s1, s2) order — the
-    // order the full product would give them — and rewrite every µ from
-    // discovery ids to those numbers.
-    let mut order: Vec<Sym> = (0..product.pairs.len() as u32)
-        .map(Sym)
-        .filter(|p| product.queued[p.ix()])
+    // order the full product would give them — and rewrite every
+    // emitted entry from discovery ids to those numbers. The joins emit
+    // each atom's entries in ascending (s1, s2) order of their pairs, so
+    // every atom is sorted once numbered.
+    let mut order: Vec<(Sym, Sym, u32)> = (0..product.pairs.len())
+        .filter(|&id| product.queued[id])
+        .map(|id| {
+            let (s1, s2, _) = product.pairs[id];
+            (s1, s2, id as u32)
+        })
         .collect();
-    order.sort_unstable_by_key(|p| {
-        let (s1, s2, _) = product.pairs[p.ix()];
-        (s1, s2)
-    });
+    order.sort_unstable();
     let mut number: Vec<Sym> = vec![Sym(u32::MAX); product.pairs.len()];
-    let mut ty = ConditionalTreeType::new();
-    for &p in &order {
-        let (s1, s2, target) = product.pairs[p.ix()];
-        let cond = ty1.info(s1).cond.intersect(&ty2.info(s2).cond);
-        number[p.ix()] = ty.add_symbol(target, cond);
+    for (k, &(_, _, id)) in order.iter().enumerate() {
+        number[id as usize] = Sym(k as u32);
     }
-    for &p in &order {
-        let mut atoms: Vec<SAtom> = std::mem::take(&mut mus[p.ix()])
-            .into_iter()
-            .map(|mut entries| {
-                entries.iter_mut().for_each(|e| e.0 = number[e.0.ix()]);
-                SAtom::new(entries)
-            })
-            .collect();
-        atoms.sort_by(|x, y| x.entries().iter().cmp(y.entries().iter()));
-        atoms.dedup();
-        ty.set_mu(number[p.ix()], Disjunction(atoms));
+    for e in &mut emitted.entries {
+        e.0 = number[e.0.ix()];
     }
+    // Each symbol's µ: its pair's atoms sorted and deduplicated, each
+    // copied out of the arena at its final size; every leaf symbol
+    // shares one `ε` right-hand side. Symbols are built in discovery
+    // order, the order their conditions and atoms were made in, into
+    // their numbered slots.
+    let mut slots: Vec<Option<(SymbolInfo, Arc<Disjunction>)>> = vec![None; order.len()];
+    let mut key_hashes: Vec<u64> = Vec::with_capacity(order.len());
+    let mut leaf: Option<Arc<Disjunction>> = None;
+    let mut spans: Vec<(usize, usize)> = Vec::new();
+    let entries = &emitted.entries;
+    for (id, &(lo, hi)) in emitted.of_pair.iter().enumerate() {
+        if !product.queued[id] {
+            continue;
+        }
+        spans.clear();
+        spans.extend((lo as usize..hi as usize).map(|a| emitted.span(a)));
+        if spans.len() > 1 {
+            spans.sort_unstable_by(|&(a, b), &(c, d)| entries[a..b].cmp(&entries[c..d]));
+            spans.dedup_by(|&mut (a, b), &mut (c, d)| entries[a..b] == entries[c..d]);
+        }
+        let mu = match spans[..] {
+            [(a, b)] if a == b => leaf
+                .get_or_insert_with(|| Arc::new(Disjunction::leaf()))
+                .clone(),
+            _ => Arc::new(Disjunction(
+                spans
+                    .iter()
+                    .map(|&(a, b)| SAtom::from_sorted(entries[a..b].to_vec()))
+                    .collect(),
+            )),
+        };
+        let target = product.pairs[id].2;
+        let cond = std::mem::take(&mut product.conds[id]);
+        key_hashes.push(key_hash(target, &cond));
+        slots[number[id].ix()] = Some((SymbolInfo { target, cond }, mu));
+    }
+    // Every reachable pair filled its own slot.
+    let mut ty = ConditionalTreeType::with_capacity(order.len());
+    for (info, mu) in slots.into_iter().flatten() {
+        ty.push_symbol(info, mu);
+    }
+    debug_assert_eq!(ty.sym_count(), order.len(), "a numbered slot stayed empty");
     let mut roots: Vec<Sym> = roots.into_iter().map(|p| number[p.ix()]).collect();
     roots.sort_unstable();
     roots.dedup();
     ty.set_roots(roots);
+    key_hashes.sort_unstable();
+    let minimal_if_trim = key_hashes.windows(2).all(|w| w[0] != w[1]);
 
-    IncompleteTree::new(nodes, ty)
+    // Every node symbol's condition is inside `{ν(n)}` already: one side
+    // of its pair targets `n` and was normalized by its own tree.
+    Ok(CertifiedProduct {
+        tree: IncompleteTree::from_normalized(nodes, ty),
+        minimal_if_trim,
+        copies,
+    })
 }
 
-/// One atom emitted by the ⋊⋉ join, over discovery ids. Its entries
-/// come in ascending `(s1, s2)` order of their pairs (the join walks
-/// both input atoms in their sorted order), so they are sorted once the
-/// pairs are numbered in that order.
-type Joined = Vec<(Sym, Mult)>;
+/// A 64-bit hash of a symbol's `(target, cond)` key (the FxHash
+/// multiply-rotate): distinct hashes prove distinct keys, and a
+/// collision only withholds the certificate.
+fn key_hash(target: SymTarget, cond: &IntervalSet) -> u64 {
+    let mut h = FoldHasher(0);
+    (target, cond).hash(&mut h);
+    h.0
+}
 
-/// µ of one product symbol: the ⋊⋉ join over all atom pairs of the two
-/// input µ's, over discovery ids (sorted and deduplicated once
-/// numbered).
-fn pair_mu(product: &mut Product<'_>, s1: Sym, s2: Sym, scratch: &mut JoinScratch) -> Vec<Joined> {
-    let (ty1, ty2) = (product.ty1, product.ty2);
-    let mut atoms: Vec<Joined> = Vec::new();
-    for a1 in ty1.mu(s1).atoms() {
-        for a2 in ty2.mu(s2).atoms() {
-            join_atoms(a1, a2, product, scratch, &mut atoms);
+/// The hasher of [`key_hash`].
+struct FoldHasher(u64);
+
+impl FoldHasher {
+    fn fold(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FoldHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.fold(u64::from_le_bytes(word));
         }
     }
-    atoms
+
+    fn write_u32(&mut self, x: u32) {
+        self.fold(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.fold(x);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.fold(x as u64);
+    }
 }
 
-/// The pre-interning structural intersection, preserved verbatim:
-/// hash-table pair lookups, per-pair task scheduling, per-call
-/// allocation of every join buffer. Kept as (a) the equivalence oracle
-/// for `tests/intern_equiv.rs` — the table-driven path must serialize
-/// byte-identically to this one — and (b) the "pre" row of the
-/// `cpubench` group, so the committed speedup is measured against the
-/// real old code.
-pub fn intersect_reference(
-    t1: &IncompleteTree,
-    t2: &IncompleteTree,
-) -> Result<IncompleteTree, ItreeError> {
-    let (base, other) = if t1.nodes().len() >= t2.nodes().len() {
-        (t1, t2)
-    } else {
-        (t2, t1)
-    };
-    let mut nodes = base.nodes().clone();
-    for (&n, &info) in other.nodes() {
-        match nodes.get(&n) {
-            Some(&prev) if prev != info => return Err(ItreeError::IncompatibleNode(n)),
-            _ => {
-                nodes.insert(n, info);
+/// The ⋊⋉ join of `a1` with a label-keyed atom of `t2` (see
+/// [`LabelKeyed`]), whose entries `keys` lists by label: each entry of
+/// `a1` has at most one partner, the entry of its label, and the keyed
+/// side's `⋆` leaves its multiplicity as it is. So the join is one atom
+/// that copies `a1` entry by entry — or none, when a mandatory entry
+/// has no compatible partner — and an entry with no partner is left
+/// out. Callers keep `?` entries away: their join emits two atoms, one
+/// with the partner and one without.
+fn copy_atom(a1: &SAtom, keys: &[(Label, Sym)], product: &mut Product<'_>, out: &mut Emitted) {
+    let start = out.open();
+    for &(c1, m1) in a1.entries() {
+        let partner = product.pairing1[c1.ix()]
+            .label
+            .and_then(|l| keys.binary_search_by_key(&l, |&(k, _)| k).ok())
+            .and_then(|at| product.probe(c1, keys[at].1));
+        match partner {
+            Some(p) => out.entries.push((p, m1)),
+            None if m1.mandatory() => {
+                out.entries.truncate(start);
+                OBS_JOIN_FANOUT.observe(0);
+                return;
             }
+            None => {}
         }
     }
-
-    let (ty1, ty2) = (t1.ty(), t2.ty());
-    let mut ty = ConditionalTreeType::new();
-    let mut pair_of: HashMap<(Sym, Sym), Sym> = HashMap::new();
-
-    for s1 in ty1.syms() {
-        for s2 in ty2.syms() {
-            let i1 = ty1.info(s1);
-            let i2 = ty2.info(s2);
-            let target = match (i1.target, i2.target) {
-                (SymTarget::Lab(a), SymTarget::Lab(b)) if a == b => SymTarget::Lab(a),
-                (SymTarget::Node(n), SymTarget::Node(m)) if n == m => SymTarget::Node(n),
-                (SymTarget::Node(n), SymTarget::Lab(b)) => {
-                    if t2.nodes().contains_key(&n) || t1.node_info(n).map(|i| i.label) != Some(b) {
-                        continue;
-                    }
-                    SymTarget::Node(n)
-                }
-                (SymTarget::Lab(a), SymTarget::Node(m)) => {
-                    if t1.nodes().contains_key(&m) || t2.node_info(m).map(|i| i.label) != Some(a) {
-                        continue;
-                    }
-                    SymTarget::Node(m)
-                }
-                _ => continue,
-            };
-            let cond = i1.cond.intersect(&i2.cond);
-            if cond.is_empty() {
-                continue;
-            }
-            let p = ty.add_symbol(target, cond);
-            pair_of.insert((s1, s2), p);
-        }
-    }
-
-    // The pair table is a HashMap, so never iterate it directly: sort
-    // the keys once and drive every pass off that.
-    let mut keys: Vec<(Sym, Sym)> = Vec::with_capacity(pair_of.len());
-    keys.extend(pair_of.keys().copied());
-    keys.sort_unstable();
-
-    for &(s1, s2) in &keys {
-        if ty1.roots().contains(&s1) && ty2.roots().contains(&s2) {
-            ty.add_root(pair_of[&(s1, s2)]);
-        }
-    }
-
-    let mus: Vec<Disjunction> = keys
-        .iter()
-        .map(|&(s1, s2)| {
-            let mut atoms: Vec<SAtom> = Vec::new();
-            for a1 in ty1.mu(s1).atoms() {
-                for a2 in ty2.mu(s2).atoms() {
-                    join_atoms_reference(a1, a2, &pair_of, &mut atoms);
-                }
-            }
-            atoms.sort_by(|x, y| x.entries().iter().cmp(y.entries().iter()));
-            atoms.dedup();
-            Disjunction(atoms)
-        })
-        .collect();
-    for (&(s1, s2), mu) in keys.iter().zip(mus) {
-        ty.set_mu(pair_of[&(s1, s2)], mu);
-    }
-
-    IncompleteTree::new(nodes, ty)
-}
-
-/// One constrained entry of a ⋊⋉ join: bounded (`1`/`?`) or mandatory
-/// (`1`/`+`) on one side, constraining the total count across all pairs
-/// containing that entry.
-#[derive(Clone, Copy)]
-struct Constraint {
-    side1: bool,
-    idx: usize,
-    mandatory: bool,
-    bounded: bool,
-}
-
-/// An entry pair of the ⋊⋉ join, viewed by its two entry indices. The
-/// shipping path carries the cached product symbol alongside; the
-/// preserved reference path carries the bare indices.
-trait PairIj: Copy {
-    fn ij(self) -> (usize, usize);
-}
-
-impl PairIj for (usize, usize) {
-    fn ij(self) -> (usize, usize) {
-        self
-    }
-}
-
-impl PairIj for (usize, usize, Sym) {
-    fn ij(self) -> (usize, usize) {
-        (self.0, self.1)
-    }
-}
-
-/// choice[c] = Some(pair index) designated for constraint c, or None
-/// (allowed only for non-mandatory constraints).
-fn join_recurse<P: PairIj>(
-    cs: &[Constraint],
-    k: usize,
-    pairs: &[P],
-    choice: &mut Vec<Option<usize>>,
-    emit: &mut dyn FnMut(&[Option<usize>]),
-) {
-    if k == cs.len() {
-        emit(choice);
-        return;
-    }
-    let c = cs[k];
-    let mut any = false;
-    for (pi, p) in pairs.iter().enumerate() {
-        let (i, j) = p.ij();
-        let on_entry = if c.side1 { i == c.idx } else { j == c.idx };
-        if on_entry {
-            any = true;
-            choice.push(Some(pi));
-            join_recurse(cs, k + 1, pairs, choice, emit);
-            choice.pop();
-        }
-    }
-    if !c.mandatory || !any {
-        // A bounded-but-optional entry may host no child at all; a
-        // mandatory entry with no partner makes the join empty (we
-        // simply emit nothing down this branch).
-        if !c.mandatory {
-            choice.push(None);
-            join_recurse(cs, k + 1, pairs, choice, emit);
-            choice.pop();
-        }
-    }
+    out.close();
+    OBS_JOIN_FANOUT.observe(1);
 }
 
 /// Joins two multiplicity atoms (the `⋊⋉` of Lemma 3.3), appending the
@@ -713,203 +854,159 @@ fn join_recurse<P: PairIj>(
 /// unambiguous trees every choice set is a singleton and the expansion
 /// degenerates to the paper's single joined atom.
 ///
-/// All working buffers live in `scratch` so one `intersect` joining
-/// thousands of atom pairs allocates each of them once; every use
-/// starts from `clear()`, so reuse is invisible in the output.
+/// Each constrained entry's partners are listed once. A mandatory entry
+/// without one empties the join; one with a single partner designates
+/// it in every combination, and an optional entry without one has only
+/// the choice of none; only the other constraints branch. The
+/// combinations, and the atoms they emit, are those of the recursion
+/// over every constraint that this replaces (`iixml-oracle`'s reference
+/// join), in the same order.
 fn join_atoms(
     a1: &SAtom,
     a2: &SAtom,
     product: &mut Product<'_>,
-    scratch: &mut JoinScratch,
-    out: &mut Vec<Joined>,
+    s: &mut JoinScratch,
+    out: &mut Emitted,
 ) {
-    let JoinScratch {
-        pairs,
-        constraints,
-        included,
-        designated,
-        choice,
-    } = scratch;
-    // All compatible pairs, with partner lists per side entry. The
-    // product symbol is probed once here and carried along, so the emit
-    // pass never touches the table again.
-    pairs.clear();
-    for (i, &(c1, _)) in a1.entries().iter().enumerate() {
-        for (j, &(c2, _)) in a2.entries().iter().enumerate() {
+    let (e1, e2) = (a1.entries(), a2.entries());
+    // All compatible pairs, grouped by side-1 entry. The product symbol
+    // is probed once here and carried along, so the emit pass never
+    // touches the table again.
+    s.pairs.clear();
+    s.starts1.clear();
+    for (i, &(c1, _)) in e1.iter().enumerate() {
+        s.starts1.push(s.pairs.len() as u32);
+        for (j, &(c2, _)) in e2.iter().enumerate() {
             if let Some(p) = product.probe(c1, c2) {
-                pairs.push((i, j, p));
+                s.pairs.push((i as u32, j as u32, p));
             }
         }
     }
-    // Constrained entries: bounded or mandatory on either side.
-    constraints.clear();
-    for (i, &(_, m)) in a1.entries().iter().enumerate() {
-        if m.mandatory() || !m.repeatable() {
-            constraints.push(Constraint {
-                side1: true,
-                idx: i,
-                mandatory: m.mandatory(),
-                bounded: !m.repeatable(),
-            });
-        }
+    let n = s.pairs.len();
+    s.starts1.push(n as u32);
+    // The same pairs grouped by side-2 entry (a counting sort, stable),
+    // after the identity list that the side-1 groups index.
+    s.starts2.clear();
+    s.starts2.resize(e2.len() + 1, 0);
+    for &(_, j, _) in &s.pairs {
+        s.starts2[j as usize + 1] += 1;
     }
-    for (j, &(_, m)) in a2.entries().iter().enumerate() {
-        if m.mandatory() || !m.repeatable() {
-            constraints.push(Constraint {
-                side1: false,
-                idx: j,
-                mandatory: m.mandatory(),
-                bounded: !m.repeatable(),
-            });
+    for j in 0..e2.len() {
+        s.starts2[j + 1] += s.starts2[j];
+    }
+    s.partners.clear();
+    s.partners.extend(0..n as u32);
+    s.partners.resize(2 * n, 0);
+    for (pi, &(_, j, _)) in s.pairs.iter().enumerate() {
+        let slot = &mut s.starts2[j as usize];
+        s.partners[n + *slot as usize] = pi as u32;
+        *slot += 1;
+    }
+    // The fill advanced each start to the next group's: shift back.
+    s.starts2.rotate_right(1);
+    s.starts2[0] = 0;
+
+    // Constrained entries: bounded or mandatory on either side.
+    s.forced.clear();
+    s.forced.resize(n, false);
+    s.branching.clear();
+    let groups1 = e1
+        .iter()
+        .enumerate()
+        .map(|(i, &(_, m))| (m, s.starts1[i], s.starts1[i + 1]));
+    let groups2 = e2.iter().enumerate().map(|(j, &(_, m))| {
+        let off = n as u32;
+        (m, off + s.starts2[j], off + s.starts2[j + 1])
+    });
+    for (m, lo, hi) in groups1.chain(groups2) {
+        let (mandatory, bounded) = (m.mandatory(), !m.repeatable());
+        match (hi - lo, mandatory) {
+            _ if !mandatory && !bounded => {}
+            (0, true) => {
+                OBS_JOIN_FANOUT.observe(0);
+                return;
+            }
+            (0, false) => {}
+            (1, true) => s.forced[s.partners[lo as usize] as usize] = true,
+            _ => s.branching.push(Constraint {
+                mandatory,
+                bounded,
+                lo,
+                hi,
+            }),
         }
     }
 
-    let a1e = a1.entries();
-    let a2e = a2.entries();
-    let before = out.len();
-    // Reborrow immutably so the emit closure can capture the flag
-    // buffers mutably alongside them.
-    let pairs: &[(usize, usize, Sym)] = pairs;
-    let constraints: &[Constraint] = constraints;
-    let mut emit = |choice: &[Option<usize>]| {
-        // Build the atom for this combination.
-        // included[p]: pair participates; designated[p]: lower bound 1.
-        included.clear();
-        included.resize(pairs.len(), true);
-        designated.clear();
-        designated.resize(pairs.len(), false);
-        for (c, &ch) in constraints.iter().zip(choice) {
-            if c.bounded {
-                // Only the chosen partner (if any) survives for this
-                // entry.
-                for (pi, &(i, j, _)) in pairs.iter().enumerate() {
-                    let on_entry = if c.side1 { i == c.idx } else { j == c.idx };
-                    if on_entry && Some(pi) != ch {
-                        included[pi] = false;
-                    }
+    let before = out.ends.len();
+    s.choice.clear();
+    s.choice.resize(s.branching.len(), 0);
+    loop {
+        emit_combination(e1, e2, s, out);
+        // The next combination: the last constraint's choice moves
+        // fastest, as in the recursion.
+        let mut k = s.branching.len();
+        loop {
+            if k == 0 {
+                let fanout = (out.ends.len() - before) as u64;
+                OBS_JOIN_FANOUT.observe(fanout);
+                if fanout > 1 {
+                    OBS_EXPANSIONS.incr();
                 }
-            }
-            if c.mandatory {
-                if let Some(pi) = ch {
-                    designated[pi] = true;
-                }
-            }
-        }
-        // Consistency: every designated pair must still be included
-        // (a partner excluded by the other side's bounded choice is a
-        // contradiction).
-        for pi in 0..pairs.len() {
-            if designated[pi] && !included[pi] {
                 return;
             }
-        }
-        let mut entries: Vec<(Sym, Mult)> = Vec::with_capacity(pairs.len());
-        for (pi, &(i, j, p)) in pairs.iter().enumerate() {
-            if !included[pi] {
-                continue;
+            k -= 1;
+            s.choice[k] += 1;
+            if s.choice[k] < s.branching[k].options() {
+                break;
             }
-            let (_, m1) = a1e[i];
-            let (_, m2) = a2e[j];
-            let (_, bounded) = meet_bounds(m1, m2);
-            let mandatory = designated[pi];
-            entries.push((p, mult_from(mandatory, bounded)));
+            s.choice[k] = 0;
         }
-        out.push(entries);
-    };
-    choice.clear();
-    join_recurse(constraints, 0, pairs, choice, &mut emit);
-    let fanout = (out.len() - before) as u64;
-    OBS_JOIN_FANOUT.observe(fanout);
-    if fanout > 1 {
-        OBS_EXPANSIONS.incr();
     }
 }
 
-/// The pre-scratch ⋊⋉ join, preserved verbatim for
-/// [`intersect_reference`]: hash-table probes and fresh buffer
-/// allocations per emitted combination.
-fn join_atoms_reference(
-    a1: &SAtom,
-    a2: &SAtom,
-    pair_of: &HashMap<(Sym, Sym), Sym>,
-    out: &mut Vec<SAtom>,
+/// Emits the atom of the join's current combination of choices, unless
+/// the choices contradict each other.
+fn emit_combination(
+    e1: &[(Sym, Mult)],
+    e2: &[(Sym, Mult)],
+    s: &mut JoinScratch,
+    out: &mut Emitted,
 ) {
-    let mut pairs: Vec<(usize, usize)> = Vec::new(); // (idx in a1, idx in a2)
-    for (i, &(c1, _)) in a1.entries().iter().enumerate() {
-        for (j, &(c2, _)) in a2.entries().iter().enumerate() {
-            if pair_of.contains_key(&(c1, c2)) {
-                pairs.push((i, j));
-            }
-        }
-    }
-    let mut constraints: Vec<Constraint> = Vec::new();
-    for (i, &(_, m)) in a1.entries().iter().enumerate() {
-        if m.mandatory() || !m.repeatable() {
-            constraints.push(Constraint {
-                side1: true,
-                idx: i,
-                mandatory: m.mandatory(),
-                bounded: !m.repeatable(),
-            });
-        }
-    }
-    for (j, &(_, m)) in a2.entries().iter().enumerate() {
-        if m.mandatory() || !m.repeatable() {
-            constraints.push(Constraint {
-                side1: false,
-                idx: j,
-                mandatory: m.mandatory(),
-                bounded: !m.repeatable(),
-            });
-        }
-    }
-
-    let a1e = a1.entries();
-    let a2e = a2.entries();
-    let before = out.len();
-    let mut emit = |choice: &[Option<usize>]| {
-        let mut included = vec![true; pairs.len()];
-        let mut designated = vec![false; pairs.len()];
-        for (c, &ch) in constraints.iter().zip(choice) {
-            if c.bounded {
-                for (pi, &(i, j)) in pairs.iter().enumerate() {
-                    let on_entry = if c.side1 { i == c.idx } else { j == c.idx };
-                    if on_entry && Some(pi) != ch {
-                        included[pi] = false;
-                    }
-                }
-            }
-            if c.mandatory {
-                if let Some(pi) = ch {
-                    designated[pi] = true;
+    let n = s.pairs.len();
+    // included[p]: pair participates; designated[p]: lower bound 1.
+    s.included.clear();
+    s.included.resize(n, true);
+    s.designated.clone_from(&s.forced);
+    for (c, &o) in s.branching.iter().zip(&s.choice) {
+        let partners = &s.partners[c.lo as usize..c.hi as usize];
+        let chosen = partners.get(o as usize).copied();
+        if c.bounded {
+            // Only the chosen partner (if any) survives for this entry.
+            for &pi in partners {
+                if Some(pi) != chosen {
+                    s.included[pi as usize] = false;
                 }
             }
         }
-        for pi in 0..pairs.len() {
-            if designated[pi] && !included[pi] {
-                return;
+        if c.mandatory {
+            if let Some(pi) = chosen {
+                s.designated[pi as usize] = true;
             }
         }
-        let mut entries: Vec<(Sym, Mult)> = Vec::with_capacity(pairs.len());
-        for (pi, &(i, j)) in pairs.iter().enumerate() {
-            if !included[pi] {
-                continue;
-            }
-            let (c1, m1) = a1e[i];
-            let (c2, m2) = a2e[j];
-            let (_, bounded) = meet_bounds(m1, m2);
-            let mandatory = designated[pi];
-            entries.push((pair_of[&(c1, c2)], mult_from(mandatory, bounded)));
-        }
-        out.push(SAtom::new(entries));
-    };
-    let mut choice = Vec::new();
-    join_recurse(&constraints, 0, &pairs, &mut choice, &mut emit);
-    let fanout = (out.len() - before) as u64;
-    OBS_JOIN_FANOUT.observe(fanout);
-    if fanout > 1 {
-        OBS_EXPANSIONS.incr();
     }
+    // Consistency: every designated pair must still be included (a
+    // partner excluded by the other side's bounded choice is a
+    // contradiction).
+    if (0..n).any(|pi| s.designated[pi] && !s.included[pi]) {
+        return;
+    }
+    for (pi, &(i, j, p)) in s.pairs.iter().enumerate() {
+        if s.included[pi] {
+            let (_, bounded) = meet_bounds(e1[i as usize].1, e2[j as usize].1);
+            out.entries.push((p, mult_from(s.designated[pi], bounded)));
+        }
+    }
+    out.close();
 }
 
 /// Maintains the incomplete tree of a Refine chain: start from the
@@ -1041,19 +1138,34 @@ impl Refiner {
             return Ok(true);
         }
         let tqa = query_answer_tree(q, ans, alpha)?;
-        let combined = {
+        let CertifiedProduct {
+            tree: combined,
+            minimal_if_trim,
+            ..
+        } = {
             let _span = OBS_INTERSECT_NS.time();
-            intersect(&self.current, &tqa)?
+            intersect_certified(&self.current, &tqa)?
         };
         // Trim and minimize rebuild only when they change something;
-        // otherwise the product itself moves on.
-        let trimmed = {
+        // otherwise the product itself moves on. Trimness is checked
+        // once; a trim product whose certificate shows it minimal skips
+        // minimize's own checks.
+        let (trimmed, trim) = {
             let _span = OBS_TRIM_NS.time();
-            keep_unless_changed(combined, IncompleteTree::trimmed)
+            if combined.is_trim() {
+                (combined, true)
+            } else {
+                (combined.trim(), false)
+            }
         };
         self.current = {
             let _span = OBS_MINIMIZE_NS.time();
-            keep_unless_changed(trimmed, IncompleteTree::minimized)
+            if trim && minimal_if_trim {
+                OBS_CERTIFIED.incr();
+                trimmed.keep_certified()
+            } else {
+                keep_unless_changed(trimmed, IncompleteTree::minimized)
+            }
         };
         debug_assert!(self.current.is_trim(), "Refine leaves its knowledge trim");
         self.trim = true;
@@ -1092,9 +1204,8 @@ impl Refiner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::type_intersect::restrict_to_type;
     use iixml_query::PsQueryBuilder;
-    use iixml_tree::{NidGen, TreeTypeBuilder};
+    use iixml_tree::NidGen;
     use iixml_values::{Cond, Rat};
 
     /// A tiny source: root(=0) with children a(=1), a(=5), b(=2).
@@ -1287,102 +1398,6 @@ mod tests {
             .add_child(other.root(), Nid(99), zzz, Rat::ZERO)
             .unwrap();
         assert!(!refiner.current().contains(&other));
-    }
-
-    /// The reference product cut down to the symbols its roots reach
-    /// through any atom entry, in their old order (the oracle crate's
-    /// `root_reachable`, which this crate cannot depend on).
-    fn root_reachable(it: &IncompleteTree) -> IncompleteTree {
-        let ty = it.ty();
-        let mut seen = vec![false; ty.sym_count()];
-        let mut stack: Vec<Sym> = ty.roots().to_vec();
-        stack.iter().for_each(|r| seen[r.ix()] = true);
-        while let Some(s) = stack.pop() {
-            for &(c, _) in ty.mu(s).atoms().iter().flat_map(SAtom::entries) {
-                if !std::mem::replace(&mut seen[c.ix()], true) {
-                    stack.push(c);
-                }
-            }
-        }
-        let mut out = ConditionalTreeType::new();
-        let mut number: Vec<Option<Sym>> = vec![None; ty.sym_count()];
-        for s in ty.syms().filter(|s| seen[s.ix()]) {
-            let info = ty.info(s);
-            number[s.ix()] = Some(out.add_symbol(info.target, info.cond.clone()));
-        }
-        for s in ty.syms().filter(|s| seen[s.ix()]) {
-            let atoms = ty.mu(s).atoms().iter().map(|a| {
-                SAtom::new(
-                    a.entries()
-                        .iter()
-                        .map(|&(c, m)| (number[c.ix()].unwrap(), m))
-                        .collect(),
-                )
-            });
-            out.set_mu(number[s.ix()].unwrap(), Disjunction(atoms.collect()));
-        }
-        out.set_roots(ty.roots().iter().map(|r| number[r.ix()].unwrap()).collect());
-        IncompleteTree::new(it.nodes().clone(), out).unwrap()
-    }
-
-    #[test]
-    fn table_driven_intersect_matches_reference() {
-        // The root-driven product with its dense pair table and
-        // scratch-arena join is exactly the preserved legacy product
-        // restricted to its root-reachable symbols: symbol ids, conditions,
-        // µ atom order, roots and data nodes included. Checked on two
-        // `T_{q,A}`s and along a Refine chain whose steps include an
-        // empty answer and pairs the join probes but never emits; the
-        // restriction really removes symbols, and trim agrees too.
-        let mut alpha = Alphabet::new();
-        let t = source(&mut alpha);
-        let q1 = q_a_lt(&mut alpha, 3);
-        let q2 = q_a_lt(&mut alpha, 10);
-        let q3 = q_a_lt(&mut alpha, 0);
-        let q4 = {
-            let mut bld = PsQueryBuilder::new(&mut alpha, "root", Cond::True);
-            let root = bld.root();
-            bld.child(root, "b", Cond::gt(Rat::ZERO)).unwrap();
-            bld.build()
-        };
-        let tqa = |q: &PsQuery| query_answer_tree(q, &q.eval(&t), &alpha).unwrap();
-        let mut cases = vec![(tqa(&q1), tqa(&q2))];
-        let mut refiner = Refiner::new(&alpha);
-        for q in [&q1, &q3, &q4, &q2] {
-            cases.push((refiner.current().clone(), tqa(q)));
-            refiner.refine(&alpha, q, &q.eval(&t)).unwrap();
-        }
-        // Typed knowledge (`a → c d`) against an empty answer to
-        // `root/a{c, d[= 1]}`: the "c fails" disjunct of `τ̂_a` joins to
-        // nothing (`c` is mandatory), so the pair of `d` with `τ_d` it
-        // probes is compatible but never emitted.
-        let ty = TreeTypeBuilder::new(&mut alpha)
-            .root("root")
-            .rule("root", &[("a", Mult::Star)])
-            .rule("a", &[("c", Mult::One), ("d", Mult::One)])
-            .build()
-            .unwrap();
-        let q5 = {
-            let mut bld = PsQueryBuilder::new(&mut alpha, "root", Cond::True);
-            let a = bld.child(bld.root(), "a", Cond::True).unwrap();
-            bld.child(a, "c", Cond::True).unwrap();
-            bld.child(a, "d", Cond::eq(Rat::ONE)).unwrap();
-            bld.build()
-        };
-        let labels: Vec<Label> = alpha.labels().collect();
-        let typed = restrict_to_type(&IncompleteTree::universal(&labels), &ty);
-        let empty = query_answer_tree(&q5, &Answer::empty(), &alpha).unwrap();
-        cases.push((typed, empty));
-        let mut removed = 0;
-        for (t1, t2) in &cases {
-            let fast = intersect(t1, t2).unwrap();
-            let full = intersect_reference(t1, t2).unwrap();
-            let slow = root_reachable(&full);
-            removed += full.ty().sym_count() - slow.ty().sym_count();
-            assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
-            assert_eq!(format!("{:?}", fast.trim()), format!("{:?}", full.trim()));
-        }
-        assert!(removed > 0, "no case had unreachable product symbols");
     }
 
     #[test]

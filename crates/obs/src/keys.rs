@@ -25,6 +25,9 @@ pub const CORE_REFINE_STEPS: &str = "core.refine.steps";
 /// Refine steps whose pair the knowledge already implied, so the
 /// knowledge was left as it is (Theorem 3.4).
 pub const CORE_REFINE_IMPLIED: &str = "core.refine.implied";
+/// Refine steps that kept their trim product without running minimize,
+/// because the product's certificate shows it minimal.
+pub const CORE_REFINE_CERTIFIED: &str = "core.refine.certified";
 /// Size of the `T_{q,A}` tree built per step.
 pub const CORE_REFINE_TQA_SIZE: &str = "core.refine.tqa_size";
 /// Fan-out of the ⋊⋉ join per node.
@@ -194,6 +197,7 @@ pub const SERVE_FRAME_BYTES: &str = "serve.req.frame_bytes";
 pub const COUNTERS: &[&str] = &[
     CORE_REFINE_STEPS,
     CORE_REFINE_IMPLIED,
+    CORE_REFINE_CERTIFIED,
     CORE_REFINE_DISJUNCTIVE_EXPANSIONS,
     CORE_TYPE_INTERSECT_CONTRADICTIONS,
     CORE_MINIMIZE_SYMBOLS_MERGED,

@@ -16,15 +16,20 @@
 //!   membership predicates from both sides;
 //! * reference implementations of possible/certain prefix over an
 //!   explicit world list;
-//! * [`root_reachable`] — an incomplete tree cut down to the symbols its
-//!   roots reach, the shape `refine::intersect` returns next to the full
-//!   product of `refine::intersect_reference`.
+//! * [`intersect_reference`] — the structural product of Lemma 3.3 as it
+//!   was before the shipping kernel's tables and shortcuts, and
+//!   [`root_reachable`] — an incomplete tree cut down to the symbols its
+//!   roots reach, the shape `refine::intersect` returns next to that full
+//!   product.
 
 use iixml_core::{ConditionalTreeType, Disjunction, IncompleteTree, SAtom, Sym, SymTarget};
 use iixml_obs::{keys, LazyCounter, LazyHistogram};
 use iixml_tree::{is_prefix_of, DataTree, Nid, NodeRef};
 use iixml_values::{IntervalSet, Rat};
 use std::collections::{HashMap, HashSet};
+
+mod reference;
+pub use reference::intersect_reference;
 
 /// Bounds for exhaustive enumeration.
 #[derive(Clone, Copy, Debug)]

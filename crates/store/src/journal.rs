@@ -551,7 +551,7 @@ pub fn recover_with_io(
     // Find a starting state. Prefer the newest valid snapshot covering
     // no more records than the journal held; otherwise replay from the
     // Open record.
-    let usable_snapshot = best_snapshot(dir, known_total);
+    let (usable_snapshot, newer) = best_snapshots(dir, known_total, mode == RecoveryMode::Degrade);
 
     // In Degrade mode, a verified snapshot *ahead* of the surviving log
     // is the Section 5 degradation target: the records between the
@@ -562,7 +562,9 @@ pub fn recover_with_io(
     // state), so this path returns `journal: None` and the caller
     // rebases onto a fresh journal.
     if mode == RecoveryMode::Degrade {
-        let ahead = best_snapshot(dir, u64::MAX)
+        let ahead = newer
+            .as_ref()
+            .or(usable_snapshot.as_ref())
             .filter(|s| s.seq > known_total)
             // When the Open record survived, only trust a snapshot that
             // agrees with it on the alphabet.
@@ -946,15 +948,31 @@ fn replay_one(
     }
 }
 
-/// The newest snapshot in `dir` that verifies and covers at most
-/// `max_seq` records. Corrupt snapshots are skipped (recovery falls back
-/// to older ones, then to full replay).
-fn best_snapshot(dir: &Path, max_seq: u64) -> Option<Snapshot> {
-    let list = snapshot::list(dir).ok()?;
-    list.iter()
-        .rev()
-        .filter(|&&(seq, _)| seq <= max_seq)
-        .find_map(|(_, path)| Snapshot::load(path).ok())
+/// From one listing of `dir`, newest first, loading (and so
+/// CRC-checking) each snapshot at most once: the newest snapshot that
+/// verifies and covers at most `max_seq` records, and, with `above`,
+/// the newest that verifies above it, if any. So the newest snapshot
+/// that verifies at all is the second, or else the first. Corrupt
+/// snapshots are skipped (recovery falls back to older ones, then to
+/// full replay).
+fn best_snapshots(dir: &Path, max_seq: u64, above: bool) -> (Option<Snapshot>, Option<Snapshot>) {
+    let Ok(list) = snapshot::list(dir) else {
+        return (None, None);
+    };
+    let mut newer = None;
+    for (seq, path) in list.iter().rev() {
+        if *seq > max_seq && (!above || newer.is_some()) {
+            continue;
+        }
+        let Ok(s) = Snapshot::load(path) else {
+            continue;
+        };
+        if *seq <= max_seq {
+            return (Some(s), newer);
+        }
+        newer = Some(s);
+    }
+    (None, newer)
 }
 
 #[cfg(test)]

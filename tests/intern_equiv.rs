@@ -18,10 +18,11 @@
 
 use iixml_core::intern::InternedType;
 use iixml_core::io::write_incomplete_xml;
-use iixml_core::refine::{intersect, intersect_reference, query_answer_tree};
+use iixml_core::refine::{intersect, query_answer_tree};
 use iixml_core::IncompleteTree;
 use iixml_gen::testkit::check_with;
 use iixml_gen::{catalog, random_queries, Catalog};
+use iixml_oracle::intersect_reference;
 use iixml_query::PsQuery;
 
 /// Runs the same random refine chain through both pipelines at one

@@ -13,6 +13,7 @@
 use iixml_core::Refiner;
 use iixml_obs::keys;
 use iixml_oracle::{enumerate_rep, Bounds};
+use iixml_query::parse_ps_query;
 use iixml_query::Answer;
 use iixml_tree::Alphabet;
 use iixml_webhouse::{Session, Source};
@@ -55,6 +56,14 @@ fn refine_pipeline_emits_expected_metrics() {
     let _ = session.answer_with_mediation(&q_cam).unwrap();
     // A revisit: the knowledge already implies the pair.
     session.fetch(&q_view).unwrap();
+    // A new price window: its product is trim, and its certificate
+    // shows it minimal.
+    let q_window = parse_ps_query(
+        "catalog/product{name, price[>= 300 & < 305]}",
+        &mut cat.alpha,
+    )
+    .unwrap();
+    session.fetch(&q_window).unwrap();
 
     // One direct evaluation and one bounded enumeration so the query
     // and oracle families show up too.
@@ -110,6 +119,12 @@ fn refine_pipeline_emits_expected_metrics() {
     assert!(
         unchanged > unchanged_before,
         "the catalog chain never kept its product unchanged"
+    );
+    // Those steps keep their product on its certificate, without
+    // running minimize.
+    assert!(
+        snap.counter(keys::CORE_REFINE_CERTIFIED).unwrap_or(0) >= 1,
+        "no Refine step kept a certified product"
     );
     // Every registered core-pipeline histogram this scenario drives.
     for key in [

@@ -33,7 +33,8 @@
 //! the queries that taught it.
 
 use iixml_core::io::write_incomplete_xml;
-use iixml_core::refine::{intersect, intersect_reference, query_answer_tree};
+use iixml_core::refine::intersect_certified;
+use iixml_core::refine::{intersect, query_answer_tree};
 use iixml_core::type_intersect::restrict_to_type;
 use iixml_core::{
     ConditionalTreeType, Disjunction, IncompleteTree, NodeInfo, Refiner, SAtom, SymTarget,
@@ -42,7 +43,8 @@ use iixml_gen::rng::DetRng;
 use iixml_gen::testkit::check_with;
 use iixml_gen::{blowup_queries, catalog};
 use iixml_mediator::auxiliary_queries;
-use iixml_oracle::root_reachable;
+use iixml_obs::keys;
+use iixml_oracle::{intersect_reference, root_reachable};
 use iixml_query::{parse_ps_query, Answer, PsQuery};
 use iixml_tree::{Alphabet, DataTree, Mult, Nid};
 use iixml_values::{IntervalSet, Rat};
@@ -59,6 +61,12 @@ struct Tally {
     min_owned: usize,
     implied: usize,
     skipped: usize,
+    /// Steps the reference does not imply, and of those the ones whose
+    /// product is trim with a certificate, and the ones on which
+    /// `Refiner::refine` counted a certified skip of minimize.
+    changed: usize,
+    certificate: usize,
+    certified: usize,
 }
 
 fn debug(it: &IncompleteTree) -> String {
@@ -101,6 +109,9 @@ fn run_chain(
             "step {i}: intersect is not the root-reachable reference product"
         );
         let ref_trimmed = full.trim();
+        let certificate = intersect_certified(refiner.current(), &tqa)
+            .unwrap()
+            .minimal_if_trim;
         let trimmed = product.trimmed();
         assert_eq!(debug(&trimmed), debug(&ref_trimmed), "step {i}: trim");
         match trimmed {
@@ -137,10 +148,18 @@ fn run_chain(
                 "step {i}: refining an implied pair changed the knowledge"
             );
         } else {
+            let skips = iixml_obs::counter(keys::CORE_REFINE_CERTIFIED).get();
             assert!(
                 !refiner.refine(alpha, q, ans).unwrap(),
                 "step {i}: skipped a pair the reference does not imply"
             );
+            t.changed += 1;
+            if certificate && matches!(product.trimmed(), Cow::Borrowed(_)) {
+                t.certificate += 1;
+            }
+            if iixml_obs::counter(keys::CORE_REFINE_CERTIFIED).get() > skips {
+                t.certified += 1;
+            }
             reference = ref_min;
         }
         assert_eq!(
@@ -203,6 +222,8 @@ fn window_chain(products: usize, fetches: usize, revisits: usize, rng: &mut DetR
 /// matches the reference chain.
 #[test]
 fn window_chains_match_reference() {
+    // `core.refine.certified` counts the certified skips below.
+    iixml_obs::set_enabled(true);
     let mut t = Tally::default();
     check_with("refine_fastpath_windows_16", 3, |rng| {
         window_chain(16, 32, 12, rng, &mut t);
@@ -217,6 +238,13 @@ fn window_chains_match_reference() {
         "window chains should rarely merge: {t:?}"
     );
     assert!(t.skipped > 0, "no revisit was skipped: {t:?}");
+    // Every new window's product is trim and certified minimal, and
+    // `Refiner::refine` skipped minimize on each.
+    assert_eq!(
+        t.certificate, t.changed,
+        "a window step lost its certificate: {t:?}"
+    );
+    assert_eq!(t.certified, t.changed, "a window step ran minimize: {t:?}");
 }
 
 fn blowup_alphabet() -> Alphabet {
