@@ -29,6 +29,13 @@
 //! makes (counted when the binary installs [`crate::allocs::Counting`],
 //! as `report` does; the count repeats exactly).
 //!
+//! Two more ungated rows time the knowledge-text parser a cold start
+//! runs on every snapshot: `knowledge_parse_us` is the median time of
+//! `parse_incomplete_xml` on a `restart`-shaped snapshot (a typed
+//! 64-product catalog after 31 distinct price windows, the state the
+//! snapshot at record 32 holds), and `knowledge_parse_allocs` the
+//! allocations one parse makes.
+//!
 //! `cargo run -p iixml-bench --bin report -- --bench cpu` runs these and
 //! writes `BENCH_cpu.json`; `--quick` shrinks workloads and sample
 //! counts for CI smoke runs.
@@ -36,6 +43,7 @@
 use crate::harness::median;
 use crate::refine_blowup_tree;
 use crate::row::Row;
+use iixml_core::io::{parse_incomplete_xml, write_incomplete_xml};
 use iixml_core::type_intersect::restrict_to_type;
 use iixml_core::{IncompleteTree, Refiner, SymTarget};
 use iixml_gen::rng::DetRng;
@@ -102,6 +110,8 @@ pub struct CpuReport {
     pub kernels: Vec<KernelResult>,
     /// The `refine_heavy`-shaped Refine steps.
     pub steps: StepResult,
+    /// Parses of a `restart`-shaped snapshot.
+    pub parse: StepResult,
 }
 
 /// Refine steps that change the knowledge, on `refine_heavy`-shaped
@@ -190,6 +200,45 @@ fn refine_steps(chains: &[WindowChain], samples: usize) -> StepResult {
     }
 }
 
+/// A `restart` session's snapshot as text, with the alphabet recovery
+/// parses it under: the knowledge of a typed 64-product catalog after
+/// 31 distinct price-window Fetches.
+pub fn restart_snapshot(seed: u64) -> (String, Alphabet) {
+    let c = window_chain(31, seed);
+    let mut refiner = Refiner::from_tree(c.start);
+    for (q, ans) in &c.steps {
+        refiner
+            .refine(&c.alpha, q, ans)
+            .expect("window answers refine");
+    }
+    (write_incomplete_xml(refiner.current(), &c.alpha), c.alpha)
+}
+
+/// Parses `text` `samples` times (after one warm-up parse), each into a
+/// fresh copy of `alpha` as recovery does; the median time and the
+/// allocations of one parse.
+fn knowledge_parses(text: &str, alpha: &Alphabet, samples: usize) -> StepResult {
+    let mut times = Vec::with_capacity(samples);
+    let mut allocs = 0.0;
+    for _ in 0..=samples.max(2) {
+        let mut a = alpha.clone();
+        let a0 = crate::allocs::count();
+        let t0 = Instant::now();
+        let parsed = parse_incomplete_xml(text, &mut a);
+        let dt = t0.elapsed().as_nanos() as f64;
+        allocs = (crate::allocs::count() - a0) as f64;
+        let it = parsed.expect("the snapshot parses");
+        times.push(dt);
+        drop(it);
+    }
+    // The first parse warmed up.
+    times.remove(0);
+    StepResult {
+        ns: median(times),
+        allocs,
+    }
+}
+
 /// Replicates the pre-interning initial-partition keying: two
 /// `format!` allocations per symbol. Kept here (not in `iixml-core`)
 /// purely as the micro-bench baseline for the interned keying.
@@ -238,6 +287,8 @@ pub fn run(quick: bool) -> CpuReport {
         .map(|seed| window_chain(96, seed))
         .collect();
     let steps = refine_steps(&chains, samples);
+    let (snapshot, snapshot_alpha) = restart_snapshot(0);
+    let parse = knowledge_parses(&snapshot, &snapshot_alpha, if quick { 50 } else { 1000 });
 
     iixml_obs::set_enabled(true);
 
@@ -280,6 +331,7 @@ pub fn run(quick: bool) -> CpuReport {
     CpuReport {
         kernels: vec![intersect, minimize, sig_interning],
         steps,
+        parse,
     }
 }
 
@@ -310,6 +362,18 @@ impl CpuReport {
             "refine_step_allocs",
             "count",
             self.steps.allocs,
+        ));
+        rows.push(Row::lower(
+            "cpu",
+            "knowledge_parse_us",
+            "us",
+            self.parse.ns / 1e3,
+        ));
+        rows.push(Row::lower(
+            "cpu",
+            "knowledge_parse_allocs",
+            "count",
+            self.parse.allocs,
         ));
         rows
     }
@@ -348,7 +412,7 @@ mod tests {
     #[test]
     fn quick_run_carries_every_gate() {
         let rows = run(true).rows();
-        assert_eq!(rows.len(), 11);
+        assert_eq!(rows.len(), 13);
         assert!(rows.iter().all(|r| r.value > 0.0));
         assert_eq!(crate::row::gated(&rows), GATES);
     }

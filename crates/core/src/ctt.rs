@@ -294,6 +294,11 @@ impl ConditionalTreeType {
         }
     }
 
+    /// Is every symbol productive?
+    pub(crate) fn all_productive(&self) -> bool {
+        self.productive().iter().all(|&p| p)
+    }
+
     /// Is `rep` empty? (Lemma 2.5: PTIME-complete.)
     pub fn is_empty(&self) -> bool {
         let prod = self.productive();

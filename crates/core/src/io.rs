@@ -25,13 +25,16 @@
 //! knowledge is, not the queries that built it. Text written by older
 //! versions also carries a `name=` attribute; the parser ignores it.
 
-use crate::ctt::{ConditionalTreeType, Disjunction, SAtom, Sym, SymTarget};
+use crate::ctt::{ConditionalTreeType, Disjunction, SAtom, Sym, SymTarget, SymbolInfo};
 use crate::itree::{IncompleteTree, NodeInfo};
 use iixml_tree::{Alphabet, Label, Mult, Nid};
-use iixml_values::parse::parse_cond;
-use iixml_values::{Cond, Rat};
+use iixml_values::parse::{parse_cond, ParseCondError};
+use iixml_values::{CmpOp, Cond, Cut, Interval, IntervalSet, Rat};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Serializes an incomplete tree as an XML document.
 pub fn write_incomplete_xml(it: &IncompleteTree, alpha: &Alphabet) -> String {
@@ -89,6 +92,16 @@ fn xml_unescape(s: &str) -> String {
         .replace("&amp;", "&")
 }
 
+/// `raw` with its entities replaced, borrowed when it holds none (a
+/// condition's `&` is written bare).
+fn unescaped(raw: &str) -> Cow<'_, str> {
+    if raw.contains('&') && ["&lt;", "&quot;", "&amp;"].iter().any(|e| raw.contains(e)) {
+        Cow::Owned(xml_unescape(raw))
+    } else {
+        Cow::Borrowed(raw)
+    }
+}
+
 /// Error from parsing the incomplete-tree XML form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IoError {
@@ -127,9 +140,20 @@ impl<'a> Parser<'a> {
         &self.input[self.pos..]
     }
 
+    /// Skips whitespace as `str::trim_start` does, a byte at a time
+    /// until the first non-ASCII byte.
     fn skip_ws(&mut self) {
-        let t = self.rest().trim_start();
-        self.pos = self.input.len() - t.len();
+        while let Some(&b) = self.input.as_bytes().get(self.pos) {
+            match b {
+                b' ' | b'\t' | b'\n' | b'\r' | 0x0b | 0x0c => self.pos += 1,
+                b if b.is_ascii() => return,
+                _ => {
+                    let t = self.rest().trim_start();
+                    self.pos = self.input.len() - t.len();
+                    return;
+                }
+            }
+        }
     }
 
     fn eat(&mut self, tok: &str) -> bool {
@@ -150,76 +174,209 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parses `key="value"` pairs until `/>` or `>`; returns the pairs
-    /// and whether the element was self-closing.
-    fn parse_attrs(&mut self) -> Result<(Vec<(String, String)>, bool), IoError> {
-        let mut attrs = Vec::new();
+    /// Parses `key="value"` pairs until `/>` or `>` into `attrs`, and
+    /// returns whether the element was self-closing. A key is whatever
+    /// precedes the next `=`, trimmed; keys the text does not use are
+    /// skipped.
+    fn parse_attrs(&mut self, attrs: &mut Attrs<'a>) -> Result<bool, IoError> {
+        *attrs = Attrs::default();
         loop {
             self.skip_ws();
-            if self.eat("/>") {
-                return Ok((attrs, true));
-            }
-            if self.eat(">") {
-                return Ok((attrs, false));
-            }
             let rest = self.rest();
-            let eq = rest
-                .find('=')
-                .ok_or_else(|| self.err("expected attribute"))?;
-            let key = rest[..eq].trim().to_string();
+            if rest.starts_with("/>") {
+                self.pos += 2;
+                return Ok(true);
+            }
+            if rest.starts_with('>') {
+                self.pos += 1;
+                return Ok(false);
+            }
+            let eq = find_byte(rest, b'=').ok_or_else(|| self.err("expected attribute"))?;
+            let key = rest[..eq].trim();
             self.pos += eq + 1;
             self.expect("\"")?;
             let rest = self.rest();
-            let close = rest
-                .find('"')
-                .ok_or_else(|| self.err("unterminated attribute value"))?;
-            let value = xml_unescape(&rest[..close]);
+            let close =
+                find_byte(rest, b'"').ok_or_else(|| self.err("unterminated attribute value"))?;
             self.pos += close + 1;
-            attrs.push((key, value));
+            if let Some(slot) = attrs.slot(key) {
+                slot.get_or_insert(&rest[..close]);
+            }
         }
     }
 }
 
-fn get<'v>(attrs: &'v [(String, String)], key: &str) -> Option<&'v str> {
-    attrs
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
+/// The first index of the ASCII byte `b` in `s`: a plain scan, faster
+/// than a vectorized search over the few bytes an attribute spans.
+fn find_byte(s: &str, b: u8) -> Option<usize> {
+    s.bytes().position(|c| c == b)
+}
+
+/// One element's attributes, by key, as written (still escaped); the
+/// first occurrence of a key wins.
+#[derive(Clone, Copy, Default)]
+struct Attrs<'a> {
+    nid: Option<&'a str>,
+    label: Option<&'a str>,
+    val: Option<&'a str>,
+    id: Option<&'a str>,
+    node: Option<&'a str>,
+    cond: Option<&'a str>,
+    root: Option<&'a str>,
+    sym: Option<&'a str>,
+    mult: Option<&'a str>,
+}
+
+impl<'a> Attrs<'a> {
+    fn slot(&mut self, key: &str) -> Option<&mut Option<&'a str>> {
+        Some(match key {
+            "nid" => &mut self.nid,
+            "label" => &mut self.label,
+            "val" => &mut self.val,
+            "id" => &mut self.id,
+            "node" => &mut self.node,
+            "cond" => &mut self.cond,
+            "root" => &mut self.root,
+            "sym" => &mut self.sym,
+            "mult" => &mut self.mult,
+            _ => return None,
+        })
+    }
+}
+
+/// A condition's interval set. `true`, and any text in the form the
+/// writer gives an interval set ([`written_intervals`]), skip the
+/// condition parser; any other text goes through it.
+fn cond_intervals(text: &str) -> Result<IntervalSet, ParseCondError> {
+    if text == "true" {
+        return Ok(Cond::True.to_intervals());
+    }
+    match written_intervals(text) {
+        Some(set) => Ok(set),
+        None => parse_cond(text).map(|c| c.to_intervals()),
+    }
+}
+
+/// The interval set of a condition written as `Cond::from_intervals`
+/// writes one: a comparison `OP v`, or a parenthesized list of
+/// intervals joined by ` | `, where an interval is `= v`, a half-line
+/// (`< v`, `<= v`, `> v`, `>= v`), or `(>= a & < b)` with either bound
+/// open or closed. `None` for any other text, or a literal that does not
+/// parse; the condition parser then decides.
+fn written_intervals(text: &str) -> Option<IntervalSet> {
+    match text.strip_prefix('(').and_then(|t| t.strip_suffix(')')) {
+        Some(inner) if inner.contains(" | ") => {
+            let mut ivs = Vec::new();
+            for d in inner.split(" | ") {
+                ivs.extend(interval(d)?);
+            }
+            Some(IntervalSet::from_intervals(ivs))
+        }
+        Some(_) => interval(text).map(|iv| IntervalSet::from_intervals(iv.into_iter().collect())),
+        None => comparison(text).map(|(op, v)| op.intervals(v)),
+    }
+}
+
+/// One interval of a written list: `Some(None)` for an empty
+/// `(>= a & < b)`.
+fn interval(text: &str) -> Option<Option<Interval>> {
+    if let Some(pair) = text.strip_prefix('(').and_then(|t| t.strip_suffix(')')) {
+        let (lo, hi) = pair.split_once(" & ")?;
+        let lo = match comparison(lo)? {
+            (CmpOp::Ge, v) => Cut::Below(v),
+            (CmpOp::Gt, v) => Cut::Above(v),
+            _ => return None,
+        };
+        let hi = match comparison(hi)? {
+            (CmpOp::Lt, v) => Cut::Below(v),
+            (CmpOp::Le, v) => Cut::Above(v),
+            _ => return None,
+        };
+        return Some(Interval::new(lo, hi));
+    }
+    Some(match comparison(text)? {
+        (CmpOp::Eq, v) => Some(Interval::point(v)),
+        (CmpOp::Lt, v) => Interval::new(Cut::NegInf, Cut::Below(v)),
+        (CmpOp::Le, v) => Interval::new(Cut::NegInf, Cut::Above(v)),
+        (CmpOp::Gt, v) => Interval::new(Cut::Above(v), Cut::PosInf),
+        (CmpOp::Ge, v) => Interval::new(Cut::Below(v), Cut::PosInf),
+        (CmpOp::Ne, _) => return None,
+    })
+}
+
+/// `OP v` with one space and a literal of digits, `-`, `/` and `.`.
+fn comparison(text: &str) -> Option<(CmpOp, Rat)> {
+    let (op, v) = text.split_once(' ')?;
+    let op = match op {
+        "=" => CmpOp::Eq,
+        "!=" => CmpOp::Ne,
+        "<" => CmpOp::Lt,
+        "<=" => CmpOp::Le,
+        ">" => CmpOp::Gt,
+        ">=" => CmpOp::Ge,
+        _ => return None,
+    };
+    let literal = !v.is_empty()
+        && v.bytes()
+            .all(|b| matches!(b, b'0'..=b'9' | b'-' | b'/' | b'.'));
+    Some((op, literal.then(|| v.parse().ok())??))
+}
+
+/// A symbol as read, before ids are checked: its atoms are the range
+/// `atoms` of the parse's atom ends.
+struct RawSymbol {
+    id: u32,
+    target: SymTarget,
+    cond: IntervalSet,
+    root: bool,
+    atoms: Range<usize>,
 }
 
 /// Parses the XML document form back into an incomplete tree, interning
 /// label names into `alpha`.
+///
+/// One pass over the text: attribute values borrow the input, and
+/// every entry of every atom goes into one arena (`entries`, cut into
+/// atoms by `ends`) until the symbols are assembled.
 pub fn parse_incomplete_xml(input: &str, alpha: &mut Alphabet) -> Result<IncompleteTree, IoError> {
     let mut p = Parser { input, pos: 0 };
     p.expect("<incomplete")?;
     p.expect(">")?;
     let mut nodes: BTreeMap<Nid, NodeInfo> = BTreeMap::new();
     // Symbols may reference higher ids; collect raw first.
-    struct RawSymbol {
-        id: u32,
-        target: SymTarget,
-        cond: iixml_values::IntervalSet,
-        root: bool,
-        atoms: Vec<Vec<(u32, Mult)>>,
-    }
     let mut raw: Vec<RawSymbol> = Vec::new();
+    let mut entries: Vec<(u32, Mult)> = Vec::new();
+    let mut ends: Vec<usize> = Vec::new();
+    let mut attrs = Attrs::default();
+    let mut inner = Attrs::default();
     loop {
         if p.eat("</incomplete") {
             p.expect(">")?;
             break;
         }
         if p.eat("<data-node") {
-            let (attrs, closed) = p.parse_attrs()?;
+            let closed = p.parse_attrs(&mut attrs)?;
             if !closed {
                 return Err(p.err("data-node must be self-closing"));
             }
-            let nid: u64 = get(&attrs, "nid")
+            let nid: u64 = attrs
+                .nid
+                .map(unescaped)
+                .as_deref()
                 .ok_or_else(|| p.err("data-node missing nid"))?
                 .parse()
                 .map_err(|e| p.err(format!("bad nid: {e}")))?;
-            let label: Label =
-                alpha.intern(get(&attrs, "label").ok_or_else(|| p.err("data-node missing label"))?);
-            let value: Rat = get(&attrs, "val")
+            let label: Label = alpha.intern(
+                attrs
+                    .label
+                    .map(unescaped)
+                    .as_deref()
+                    .ok_or_else(|| p.err("data-node missing label"))?,
+            );
+            let value: Rat = attrs
+                .val
+                .map(unescaped)
+                .as_deref()
                 .ok_or_else(|| p.err("data-node missing val"))?
                 .parse()
                 .map_err(|e| p.err(format!("bad val: {e}")))?;
@@ -227,27 +384,29 @@ pub fn parse_incomplete_xml(input: &str, alpha: &mut Alphabet) -> Result<Incompl
             continue;
         }
         if p.eat("<symbol") {
-            let (attrs, closed) = p.parse_attrs()?;
-            let id: u32 = get(&attrs, "id")
+            let closed = p.parse_attrs(&mut attrs)?;
+            let id: u32 = attrs
+                .id
+                .map(unescaped)
+                .as_deref()
                 .ok_or_else(|| p.err("symbol missing id"))?
                 .parse()
                 .map_err(|e| p.err(format!("bad id: {e}")))?;
             // `name=` (written before symbols lost their names) is
             // ignored, so older knowledge text still loads.
-            let target = if let Some(n) = get(&attrs, "node") {
+            let target = if let Some(n) = attrs.node.map(unescaped).as_deref() {
                 SymTarget::Node(Nid(n
                     .parse()
                     .map_err(|e| p.err(format!("bad node: {e}")))?))
-            } else if let Some(l) = get(&attrs, "label") {
+            } else if let Some(l) = attrs.label.map(unescaped).as_deref() {
                 SymTarget::Lab(alpha.intern(l))
             } else {
                 return Err(p.err("symbol needs node= or label="));
             };
-            let cond = parse_cond(get(&attrs, "cond").unwrap_or("true"))
-                .map_err(|e| p.err(e.to_string()))?
-                .to_intervals();
-            let root = get(&attrs, "root") == Some("true");
-            let mut atoms = Vec::new();
+            let cond = cond_intervals(attrs.cond.map(unescaped).as_deref().unwrap_or("true"))
+                .map_err(|e| p.err(e.to_string()))?;
+            let root = attrs.root.map(unescaped).as_deref() == Some("true");
+            let first_atom = ends.len();
             if !closed {
                 loop {
                     if p.eat("</symbol") {
@@ -255,8 +414,7 @@ pub fn parse_incomplete_xml(input: &str, alpha: &mut Alphabet) -> Result<Incompl
                         break;
                     }
                     p.expect("<alt")?;
-                    let (_, alt_closed) = p.parse_attrs()?;
-                    let mut entries = Vec::new();
+                    let alt_closed = p.parse_attrs(&mut inner)?;
                     if !alt_closed {
                         loop {
                             if p.eat("</alt") {
@@ -264,15 +422,17 @@ pub fn parse_incomplete_xml(input: &str, alpha: &mut Alphabet) -> Result<Incompl
                                 break;
                             }
                             p.expect("<e")?;
-                            let (eattrs, eclosed) = p.parse_attrs()?;
-                            if !eclosed {
+                            if !p.parse_attrs(&mut inner)? {
                                 return Err(p.err("e must be self-closing"));
                             }
-                            let sym: u32 = get(&eattrs, "sym")
+                            let sym: u32 = inner
+                                .sym
+                                .map(unescaped)
+                                .as_deref()
                                 .ok_or_else(|| p.err("e missing sym"))?
                                 .parse()
                                 .map_err(|e| p.err(format!("bad sym: {e}")))?;
-                            let mult = match get(&eattrs, "mult") {
+                            let mult = match inner.mult.map(unescaped).as_deref() {
                                 Some("1") => Mult::One,
                                 Some("?") => Mult::Opt,
                                 Some("+") => Mult::Plus,
@@ -282,7 +442,7 @@ pub fn parse_incomplete_xml(input: &str, alpha: &mut Alphabet) -> Result<Incompl
                             entries.push((sym, mult));
                         }
                     }
-                    atoms.push(entries);
+                    ends.push(entries.len());
                 }
             }
             raw.push(RawSymbol {
@@ -290,7 +450,7 @@ pub fn parse_incomplete_xml(input: &str, alpha: &mut Alphabet) -> Result<Incompl
                 target,
                 cond,
                 root,
-                atoms,
+                atoms: first_atom..ends.len(),
             });
             continue;
         }
@@ -302,43 +462,54 @@ pub fn parse_incomplete_xml(input: &str, alpha: &mut Alphabet) -> Result<Incompl
     }
     // Assemble: symbol ids must be dense 0..n in file order.
     raw.sort_by_key(|r| r.id);
-    let mut ty = ConditionalTreeType::new();
-    for (i, r) in raw.iter().enumerate() {
-        if r.id as usize != i {
-            return Err(IoError {
-                at: 0,
-                message: format!("symbol ids must be dense; missing id {i}"),
-            });
-        }
-        ty.add_symbol(r.target, r.cond.clone());
+    if let Some(i) = raw.iter().enumerate().position(|(i, r)| r.id as usize != i) {
+        return Err(IoError {
+            at: 0,
+            message: format!("symbol ids must be dense; missing id {i}"),
+        });
     }
     let n = raw.len() as u32;
-    for r in &raw {
-        let atoms = r
-            .atoms
-            .iter()
-            .map(|entries| {
-                let es: Result<Vec<(Sym, Mult)>, IoError> = entries
-                    .iter()
-                    .map(|&(sid, m)| {
-                        if sid >= n {
-                            Err(IoError {
-                                at: 0,
-                                message: format!("entry references unknown symbol {sid}"),
-                            })
-                        } else {
-                            Ok((Sym(sid), m))
-                        }
-                    })
-                    .collect();
-                es.map(SAtom::new)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        ty.set_mu(Sym(r.id), Disjunction(atoms));
+    let mut ty = ConditionalTreeType::with_capacity(raw.len());
+    let mut roots = Vec::new();
+    // Every leaf symbol shares one `ε` right-hand side.
+    let mut leaf: Option<Arc<Disjunction>> = None;
+    for r in raw {
+        let mut atoms = Vec::with_capacity(r.atoms.len());
+        for k in r.atoms {
+            let start = if k == 0 { 0 } else { ends[k - 1] };
+            let atom = entries[start..ends[k]]
+                .iter()
+                .map(|&(sid, m)| {
+                    if sid >= n {
+                        Err(IoError {
+                            at: 0,
+                            message: format!("entry references unknown symbol {sid}"),
+                        })
+                    } else {
+                        Ok((Sym(sid), m))
+                    }
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            atoms.push(SAtom::new(atom));
+        }
+        let mu = match &atoms[..] {
+            [atom] if atom.is_empty() => leaf
+                .get_or_insert_with(|| Arc::new(Disjunction::leaf()))
+                .clone(),
+            _ => Arc::new(Disjunction(atoms)),
+        };
+        let s = ty.push_symbol(
+            SymbolInfo {
+                target: r.target,
+                cond: r.cond,
+            },
+            mu,
+        );
         if r.root {
-            ty.add_root(Sym(r.id));
+            roots.push(s);
         }
     }
+    ty.set_roots(roots);
     IncompleteTree::new(nodes, ty).map_err(|e| IoError {
         at: 0,
         message: e.to_string(),

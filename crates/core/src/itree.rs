@@ -204,6 +204,17 @@ impl IncompleteTree {
         self.ty.is_trimmed() && self.every_node_targeted()
     }
 
+    /// [`is_trim`](Self::is_trim) for a tree whose roots reach every
+    /// symbol, as [`intersect_certified`](crate::refine::intersect_certified)'s
+    /// product does by construction: every symbol is then useful exactly
+    /// when every symbol is productive, so the reachability pass is
+    /// skipped.
+    pub(crate) fn is_trim_given_reachable(&self) -> bool {
+        let trim = self.ty.all_productive() && self.every_node_targeted();
+        debug_assert_eq!(trim, self.is_trim(), "a symbol the roots do not reach");
+        trim
+    }
+
     /// Is every data node the target of some symbol? One pass over the
     /// symbols into a sorted set, then one merge walk against the
     /// (sorted) node keys.

@@ -1148,11 +1148,12 @@ impl Refiner {
         };
         // Trim and minimize rebuild only when they change something;
         // otherwise the product itself moves on. Trimness is checked
-        // once; a trim product whose certificate shows it minimal skips
-        // minimize's own checks.
+        // once, and only for productivity and node targets: the product
+        // holds root-reachable symbols alone. A trim product whose
+        // certificate shows it minimal skips minimize's own checks.
         let (trimmed, trim) = {
             let _span = OBS_TRIM_NS.time();
-            if combined.is_trim() {
+            if combined.is_trim_given_reachable() {
                 (combined, true)
             } else {
                 (combined.trim(), false)

@@ -20,7 +20,9 @@
 //!   was before the shipping kernel's tables and shortcuts, and
 //!   [`root_reachable`] — an incomplete tree cut down to the symbols its
 //!   roots reach, the shape `refine::intersect` returns next to that full
-//!   product.
+//!   product;
+//! * [`parse_incomplete_xml_reference`] — the knowledge-text parser as it
+//!   was before its single-pass rewrite.
 
 use iixml_core::{ConditionalTreeType, Disjunction, IncompleteTree, SAtom, Sym, SymTarget};
 use iixml_obs::{keys, LazyCounter, LazyHistogram};
@@ -28,7 +30,9 @@ use iixml_tree::{is_prefix_of, DataTree, Nid, NodeRef};
 use iixml_values::{IntervalSet, Rat};
 use std::collections::{HashMap, HashSet};
 
+mod knowledge_text;
 mod reference;
+pub use knowledge_text::parse_incomplete_xml_reference;
 pub use reference::intersect_reference;
 
 /// Bounds for exhaustive enumeration.

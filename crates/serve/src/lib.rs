@@ -30,12 +30,14 @@ pub mod client;
 pub mod conn;
 pub mod proto;
 pub mod server;
+pub mod source;
 pub mod tenant;
 
 pub use client::{Client, ClientError, Resp};
 pub use conn::{ConnError, DeadlineStream};
 pub use proto::{FrameError, ReqOp, Request, RespOp, PROTO_VERSION};
 pub use server::{DrainReport, ServeConfig, ServeError, Server};
+pub use source::CatalogSource;
 pub use tenant::{Admission, AdmissionConfig, Shed, TenantGate};
 
 /// Locks a mutex, recovering from poisoning: a panicking holder (none

@@ -12,10 +12,13 @@
 //! Durability: with a journal root configured, every session journals
 //! through the group-commit WAL (batched [`FlushPolicy`]); the `Sync`
 //! op is the client-visible durability barrier. On restart the server
-//! scans the journal root and recovers every session concurrently via
-//! [`Webhouse::recover_sessions`] — byte-identical at any pool width —
-//! and each session's recovery outcome (including
+//! scans the journal root and recovers every session in one concurrent
+//! fan-out ([`Session::recover_all`]) — byte-identical at any pool
+//! width — and each session's recovery outcome (including
 //! `Recovered{dropped_records}`) stays visible in responses and stats.
+//! A recovered session's source ([`CatalogSource`]) is generated at
+//! the first request that reaches it, so a cold start does only the
+//! work the first Asks need.
 //!
 //! Fault posture: a misbehaving client (garbage frames, bad CRC,
 //! partial frame then silence, half-close, disconnect mid-request,
@@ -42,6 +45,7 @@ use iixml_webhouse::{
 use crate::conn::{ConnError, DeadlineStream};
 use crate::lock;
 use crate::proto::{self, ReqOp, Request, RespOp};
+use crate::source::CatalogSource;
 use crate::tenant::{Admission, AdmissionConfig, Shed, TenantGate};
 
 static OBS_ACCEPTED: LazyCounter = LazyCounter::new(keys::SERVE_ACCEPTED);
@@ -155,13 +159,12 @@ impl std::fmt::Display for ServeError {
 }
 
 /// What the server remembers about a session beyond the webhouse
-/// state: how to rebuild its source after a crash, and its durability
-/// story (recovery outcome + sticky journal fault).
+/// state: its tenant and its durability story (recovery outcome +
+/// sticky journal fault). The session's [`CatalogSource`] knows how to
+/// rebuild its document.
 #[derive(Debug, Clone)]
 struct SessionMeta {
     tenant: String,
-    products: usize,
-    seed: u64,
     /// Set when this session came back through crash recovery.
     recovery: Option<RecoveryReport>,
     /// Sticky durability fault: once the journal fails, the session
@@ -186,7 +189,7 @@ impl SessionMeta {
 }
 
 struct Shard {
-    house: Webhouse<Source>,
+    house: Webhouse<CatalogSource>,
     meta: BTreeMap<String, SessionMeta>,
 }
 
@@ -379,7 +382,7 @@ impl Server {
         &self,
         tenant: &str,
         session: &str,
-        f: impl FnOnce(&mut Session<Source>) -> R,
+        f: impl FnOnce(&mut Session<CatalogSource>) -> R,
     ) -> Option<R> {
         let scoped = format!("{tenant}/{session}");
         let idx = shard_of(&self.inner, &scoped);
@@ -404,9 +407,12 @@ impl Server {
     }
 }
 
-/// Scans the journal root and recovers every session found, shard by
-/// shard, each shard's sessions concurrently via
-/// [`Webhouse::recover_sessions`].
+/// Scans the journal root and recovers every session found in one
+/// fan-out ([`Session::recover_all`]), then adopts each session into
+/// its shard. A recovered session's source is a lazy [`CatalogSource`]:
+/// the journal stores knowledge, not the remote document, and the
+/// catalog is regenerated from `(products, seed)` only when a request
+/// reaches the source.
 fn recover_fleet(inner: &Arc<Inner>) -> Result<(), ServeError> {
     let Some(root) = inner.cfg.journal_root.clone() else {
         return Ok(());
@@ -414,8 +420,8 @@ fn recover_fleet(inner: &Arc<Inner>) -> Result<(), ServeError> {
     if !root.exists() {
         return Ok(());
     }
-    // (scoped, jdir, meta) per shard.
-    let mut per_shard: BTreeMap<usize, Vec<(String, PathBuf, SessionMeta)>> = BTreeMap::new();
+    let mut journals = Vec::new();
+    let mut metas: BTreeMap<String, SessionMeta> = BTreeMap::new();
     for tenant in sorted_dir(&root).map_err(ServeError::Recover)? {
         let tname = tenant
             .file_name()
@@ -450,52 +456,37 @@ fn recover_fleet(inner: &Arc<Inner>) -> Result<(), ServeError> {
                 continue;
             }
             let scoped = format!("{tname}/{session}");
-            let idx = shard_of(inner, &scoped);
-            per_shard.entry(idx).or_default().push((
+            let source = CatalogSource::lazy(products, seed);
+            journals.push((scoped.clone(), jdir, source));
+            metas.insert(
                 scoped,
-                jdir,
                 SessionMeta {
                     tenant: tname.clone(),
-                    products,
-                    seed,
                     recovery: None,
                     fault: None,
                 },
-            ));
+            );
         }
     }
-    for (idx, entries) in per_shard {
-        let Some(shard_mutex) = inner.shards.get(idx) else {
+    let recovered =
+        Session::recover_all(journals).map_err(|e| ServeError::Recover(e.to_string()))?;
+    for (name, mut session, report) in recovered {
+        let Some(mut meta) = metas.remove(&name) else {
             continue;
         };
-        let mut journals = Vec::with_capacity(entries.len());
-        let mut metas: BTreeMap<String, SessionMeta> = BTreeMap::new();
-        for (scoped, jdir, meta) in entries {
-            // The source is regenerated from (products, seed): the
-            // journal stores knowledge, not the remote document.
-            let cat = iixml_gen::catalog(meta.products, meta.seed);
-            journals.push((scoped.clone(), jdir, Source::new(cat.doc, Some(cat.ty))));
-            metas.insert(scoped, meta);
+        let Some(shard_mutex) = inner.shards.get(shard_of(inner, &name)) else {
+            continue;
+        };
+        if inner.cfg.batched_journal {
+            let _ = session.set_journal_flush_policy(FlushPolicy::batched());
         }
+        meta.recovery = Some(report);
+        inner.admission.gate(&meta.tenant).adopt_session();
         let mut shard = lock(shard_mutex);
-        let reports = shard
-            .house
-            .recover_sessions(journals)
-            .map_err(|e| ServeError::Recover(e.to_string()))?;
-        for (name, report) in reports {
-            if let Some(meta) = metas.get_mut(&name) {
-                meta.recovery = Some(report);
-                inner.admission.gate(&meta.tenant).adopt_session();
-            }
-            if inner.cfg.batched_journal {
-                if let Some(sess) = shard.house.session(&name) {
-                    let _ = sess.set_journal_flush_policy(FlushPolicy::batched());
-                }
-            }
-            inner.counters.recovered.fetch_add(1, Ordering::Relaxed);
-            OBS_RECOVERED.incr();
-        }
-        shard.meta.append(&mut metas);
+        shard.house.adopt(name.clone(), session);
+        shard.meta.insert(name, meta);
+        inner.counters.recovered.fetch_add(1, Ordering::Relaxed);
+        OBS_RECOVERED.incr();
     }
     Ok(())
 }
@@ -752,7 +743,7 @@ fn handle_session_request(
 
 /// Records a durability fault on the session's meta so it stays
 /// visible (the webhouse clears its own sticky fault once reported).
-fn note_fault(sess: &Session<Source>, meta: &mut SessionMeta, err: Option<&WebhouseError>) {
+fn note_fault(sess: &Session<CatalogSource>, meta: &mut SessionMeta, err: Option<&WebhouseError>) {
     if let Some(WebhouseError::Store(e)) = err {
         meta.fault = Some(e.to_string());
     }
@@ -778,7 +769,7 @@ struct ContainSnapshot {
     fast_rejects: u64,
 }
 
-fn contain_snapshot(sess: &Session<Source>) -> ContainSnapshot {
+fn contain_snapshot(sess: &Session<CatalogSource>) -> ContainSnapshot {
     ContainSnapshot {
         checks: sess.containment_checks(),
         hits: sess.containment_hits(),
@@ -788,7 +779,11 @@ fn contain_snapshot(sess: &Session<Source>) -> ContainSnapshot {
 
 /// Folds a call's containment-counter deltas into the fleet counters;
 /// returns whether the call was answered from the cache.
-fn note_containment(inner: &Arc<Inner>, sess: &Session<Source>, before: ContainSnapshot) -> bool {
+fn note_containment(
+    inner: &Arc<Inner>,
+    sess: &Session<CatalogSource>,
+    before: ContainSnapshot,
+) -> bool {
     let after = contain_snapshot(sess);
     let c = &inner.counters;
     c.contain_checks.fetch_add(
@@ -835,7 +830,7 @@ fn with_session(
     inner: &Arc<Inner>,
     tenant: &str,
     session: &str,
-    f: impl FnOnce(&mut Session<Source>, &mut SessionMeta) -> Vec<u8>,
+    f: impl FnOnce(&mut Session<CatalogSource>, &mut SessionMeta) -> Vec<u8>,
 ) -> Vec<u8> {
     let scoped = format!("{tenant}/{session}");
     let idx = shard_of(inner, &scoped);
@@ -874,11 +869,9 @@ fn open_session(
         return shed_frame(shed, inner.cfg.admission.refill_ms);
     }
     let cat = iixml_gen::catalog(products, seed);
-    let source = Source::new(cat.doc, Some(cat.ty));
+    let source = CatalogSource::built(products, seed, Source::new(cat.doc, Some(cat.ty)));
     let meta = SessionMeta {
         tenant: tenant.to_string(),
-        products,
-        seed,
         recovery: None,
         fault: None,
     };

@@ -318,6 +318,32 @@ impl<E: SourceEndpoint> Session<E> {
         Ok((session, report))
     }
 
+    /// Recovers many crashed journaled sessions concurrently on the
+    /// `iixml-par` pool, one task per `(name, dir, source)` journal, and
+    /// returns them without registering them anywhere: a webhouse with N
+    /// independent sessions restarts in roughly 1/min(N, threads) of
+    /// the sequential time. Recovery order is irrelevant (journals are
+    /// independent) but results come back in name order, each session
+    /// labelled with its name for metrics, and are byte-identical at any
+    /// pool width, width 1 included. If any journal fails to recover,
+    /// the first error in name order is returned.
+    pub fn recover_all(
+        journals: Vec<(String, PathBuf, E)>,
+    ) -> Result<Vec<(String, Session<E>, RecoveryReport)>, WebhouseError>
+    where
+        E: Send,
+    {
+        let mut journals = journals;
+        journals.sort_by(|a, b| a.0.cmp(&b.0));
+        iixml_par::par_map(journals, |(name, dir, source)| {
+            let (mut session, report) = Session::recover(&dir, source)?;
+            session.set_obs_label(&name);
+            Ok((name, session, report))
+        })
+        .into_iter()
+        .collect()
+    }
+
     /// The durability barrier for batched journaling: flushes any
     /// group-committed records still in memory. After this returns
     /// `Ok`, every journaled event is on disk — call it at commit
@@ -870,14 +896,11 @@ impl<E: SourceEndpoint> Webhouse<E> {
         Ok(())
     }
 
-    /// Recovers many crashed journaled sessions concurrently on the
-    /// `iixml-par` pool, one task per journal — a webhouse with N
-    /// independent sessions restarts in roughly 1/min(N, threads) of
-    /// the sequential time. Recovery order is irrelevant (journals are
-    /// independent) but results come back in session-name order and are
-    /// byte-identical at any pool width, width 1 included. All-or-
-    /// nothing: if any journal fails to recover, the first error (in
-    /// name order) is returned and no session is registered.
+    /// Recovers many crashed journaled sessions concurrently and
+    /// registers them: [`Session::recover_all`], then each session
+    /// under its name. All-or-nothing: if any journal fails to recover,
+    /// the first error (in name order) is returned and no session is
+    /// registered.
     pub fn recover_sessions(
         &mut self,
         journals: Vec<(String, PathBuf, E)>,
@@ -885,23 +908,20 @@ impl<E: SourceEndpoint> Webhouse<E> {
     where
         E: Send,
     {
-        let mut journals = journals;
-        journals.sort_by(|a, b| a.0.cmp(&b.0));
-        let recovered = iixml_par::par_map(journals, |(name, dir, source)| {
-            (name, Session::recover(&dir, source))
-        });
+        let recovered = Session::recover_all(journals)?;
         let mut reports = Vec::with_capacity(recovered.len());
-        let mut sessions = Vec::with_capacity(recovered.len());
-        for (name, result) in recovered {
-            let (mut session, report) = result?;
-            session.set_obs_label(&name);
+        for (name, session, report) in recovered {
             reports.push((name.clone(), report));
-            sessions.push((name, session));
-        }
-        for (name, session) in sessions {
-            self.sessions.insert(name, session);
+            self.adopt(name, session);
         }
         Ok(reports)
+    }
+
+    /// Registers an already built session under a name (for instance
+    /// one returned by [`Session::recover_all`]), replacing any session
+    /// of that name.
+    pub fn adopt(&mut self, name: impl Into<String>, session: Session<E>) {
+        self.sessions.insert(name.into(), session);
     }
 
     /// Accesses a session.
