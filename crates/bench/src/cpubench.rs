@@ -5,7 +5,7 @@
 //!
 //! * **pre** — the preserved structural paths
 //!   (`iixml_oracle::intersect_reference`,
-//!   `IncompleteTree::minimize_reference`):
+//!   `iixml_oracle::minimize_reference`):
 //!   hash-probed pair tables, nested-`Vec` signatures, fresh join
 //!   buffers per emitted combination. These are the verbatim
 //!   pre-interning code paths, so the pre row *is* the old baseline
@@ -313,7 +313,7 @@ pub fn run(quick: bool) -> CpuReport {
         "minimize",
         samples,
         || {
-            let m = product.minimize_reference();
+            let m = iixml_oracle::minimize_reference(&product);
             assert!(m.ty().sym_count() <= product.ty().sym_count());
         },
         || {
@@ -395,7 +395,7 @@ mod tests {
         assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
         assert_eq!(
             format!("{:?}", fast.minimize()),
-            format!("{:?}", slow.minimize_reference())
+            format!("{:?}", iixml_oracle::minimize_reference(&slow))
         );
     }
 

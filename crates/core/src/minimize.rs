@@ -137,7 +137,10 @@ impl IncompleteTree {
                     OBS_UNCHANGED.incr();
                     return Cow::Borrowed(self);
                 }
-                let out = self.rebuild(&block_of);
+                // Infallible: the loop above found no block to split.
+                let out = self
+                    .quotient(&block_of)
+                    .expect("inexpressible blocks were frozen before the quotient");
                 OBS_MERGED.add((n - out.ty().sym_count().min(n)) as u64);
                 return Cow::Owned(out);
             }
@@ -163,9 +166,9 @@ impl IncompleteTree {
         self
     }
 
-    /// Does [`rebuild`](Self::rebuild) keep this tree's order? True iff
-    /// the root list, every µ's atom list and every atom's entries are
-    /// strictly sorted (the rebuild sorts and dedups all three).
+    /// Does [`quotient`](Self::quotient) keep this tree's order? True
+    /// iff the root list, every µ's atom list and every atom's entries
+    /// are strictly sorted (the quotient sorts and dedups all three).
     fn in_rebuild_order(&self) -> bool {
         let ty = self.ty();
         ty.roots().windows(2).all(|w| w[0] < w[1])
@@ -199,7 +202,8 @@ impl IncompleteTree {
     /// slices. Canon ids are assigned in atom-id order and signatures
     /// are interned in symbol order, so block numbering is
     /// first-encounter order — byte-identical to the structural
-    /// reference path (pinned by `tests/intern_equiv.rs`).
+    /// reference, `iixml_oracle::minimize_reference` (pinned by
+    /// `tests/intern_equiv.rs`).
     fn partition(&self, interned: &InternedType, frozen: &HashSet<Sym>) -> Vec<usize> {
         let ty = self.ty();
         let n = ty.sym_count();
@@ -282,7 +286,19 @@ impl IncompleteTree {
         }
     }
 
-    fn rebuild(&self, block_of: &[usize]) -> IncompleteTree {
+    /// The quotient of this tree by a partition of its symbols, given as
+    /// one block number per symbol (`block_of[s.ix()]`): each block
+    /// becomes one symbol, the first of its members in symbol order
+    /// supplies its target, condition and µ, entries of one atom that
+    /// fall into the same block are combined, and the result is sorted,
+    /// deduplicated and trimmed. `None` when the entries of some block
+    /// in some atom would need an occurrence count no multiplicity
+    /// expresses ("exactly 2"); such blocks must be split first.
+    ///
+    /// # Panics
+    ///
+    /// When `block_of` has fewer entries than the type has symbols.
+    pub fn quotient(&self, block_of: &[usize]) -> Option<IncompleteTree> {
         let ty = self.ty();
         let mut rep_sym: HashMap<usize, Sym> = HashMap::new();
         let mut out = ConditionalTreeType::new();
@@ -310,16 +326,10 @@ impl IncompleteTree {
                         .or_default()
                         .push(m);
                 }
-                let entries: Vec<(Sym, Mult)> = groups
-                    .into_iter()
-                    .map(|(c, ms)| {
-                        // Infallible: any block whose multiplicities would
-                        // not combine was split off before this rebuild.
-                        let m =
-                            combine(&ms).expect("inexpressible blocks were frozen before rebuild");
-                        (c, m)
-                    })
-                    .collect();
+                let mut entries: Vec<(Sym, Mult)> = Vec::with_capacity(groups.len());
+                for (c, ms) in groups {
+                    entries.push((c, combine(&ms)?));
+                }
                 atoms.push(SAtom::new(entries));
             }
             atoms.sort_by(|x, y| x.entries().iter().cmp(y.entries().iter()));
@@ -337,118 +347,7 @@ impl IncompleteTree {
         // Infallible: minimization rewrites symbols only — the node set is
         // exactly the one this (well-formed) tree already carries.
         let out = IncompleteTree::new(self.nodes().clone(), out).expect("nodes unchanged");
-        keep_unless_changed(out, IncompleteTree::trimmed)
-    }
-
-    /// The pre-interning structural minimization, preserved verbatim:
-    /// nested-structure signatures hashed through a `HashMap` with a
-    /// running block counter. Kept as (a) the equivalence oracle for
-    /// `tests/intern_equiv.rs` — the interned path must serialize
-    /// byte-identically to this one — and (b) the "pre" row of the
-    /// `cpubench` group, so the committed speedup is measured against
-    /// the real old code, not a remembered number.
-    pub fn minimize_reference(&self) -> IncompleteTree {
-        let _span = OBS_MINIMIZE_NS.time();
-        let ty = self.ty();
-        let n = ty.sym_count();
-        if n == 0 {
-            return self.clone();
-        }
-        let mut frozen: HashSet<Sym> = HashSet::new();
-        loop {
-            let block_of = self.partition_reference(&frozen);
-            let mut violated = false;
-            for s in ty.syms() {
-                for atom in ty.mu(s).atoms() {
-                    let mut groups: BTreeMap<usize, Vec<Mult>> = BTreeMap::new();
-                    for &(c, m) in atom.entries() {
-                        groups.entry(block_of[c.ix()]).or_default().push(m);
-                    }
-                    for (block, ms) in groups {
-                        if combine(&ms).is_none() {
-                            for c in ty.syms() {
-                                if block_of[c.ix()] == block {
-                                    frozen.insert(c);
-                                }
-                            }
-                            violated = true;
-                        }
-                    }
-                }
-            }
-            if !violated {
-                let out = self.rebuild(&block_of);
-                OBS_MERGED.add((n - out.ty().sym_count().min(n)) as u64);
-                return out;
-            }
-        }
-    }
-
-    /// The structural partition behind [`IncompleteTree::minimize_reference`].
-    fn partition_reference(&self, frozen: &HashSet<Sym>) -> Vec<usize> {
-        let ty = self.ty();
-        let n = ty.sym_count();
-        let mut block_of: Vec<usize> = vec![0; n];
-        {
-            let mut key_to_block: HashMap<(SymTarget, &IntervalSet), usize> = HashMap::new();
-            let mut next = 0usize;
-            for s in ty.syms() {
-                let info = ty.info(s);
-                let b = if frozen.contains(&s) {
-                    let b = next;
-                    next += 1;
-                    b
-                } else {
-                    *key_to_block
-                        .entry((info.target, &info.cond))
-                        .or_insert_with(|| {
-                            let b = next;
-                            next += 1;
-                            b
-                        })
-                };
-                block_of[s.ix()] = b;
-            }
-        }
-        // Signature: (current block, canonical atom list over blocks).
-        type Signature = (usize, Vec<Vec<(usize, Mult)>>);
-        let syms: Vec<Sym> = ty.syms().collect();
-        loop {
-            let sigs: Vec<Signature> = syms
-                .iter()
-                .map(|&s| {
-                    let mut atoms: Vec<Vec<(usize, Mult)>> = ty
-                        .mu(s)
-                        .atoms()
-                        .iter()
-                        .map(|a| {
-                            let mut v: Vec<(usize, Mult)> = a
-                                .entries()
-                                .iter()
-                                .map(|&(c, m)| (block_of[c.ix()], m))
-                                .collect();
-                            v.sort();
-                            v
-                        })
-                        .collect();
-                    atoms.sort();
-                    atoms.dedup();
-                    (block_of[s.ix()], atoms)
-                })
-                .collect();
-            let mut sig_to_block: HashMap<Signature, usize> = HashMap::with_capacity(n);
-            let mut next_block: Vec<usize> = vec![0; n];
-            for (s, key) in syms.iter().zip(sigs) {
-                let fresh = sig_to_block.len();
-                let b = *sig_to_block.entry(key).or_insert(fresh);
-                next_block[s.ix()] = b;
-            }
-            OBS_INTERNED.add(sig_to_block.len() as u64);
-            if next_block == block_of {
-                return block_of;
-            }
-            block_of = next_block;
-        }
+        Some(keep_unless_changed(out, IncompleteTree::trimmed))
     }
 }
 
@@ -590,118 +489,6 @@ mod tests {
         assert_eq!(combine(&[Mult::Opt, Mult::Opt]), None);
         assert_eq!(combine(&[Mult::Plus, Mult::Plus]), None);
         assert_eq!(combine(&[Mult::One]), Some(Mult::One));
-    }
-
-    /// The interned partition must reproduce the structural reference
-    /// exactly — same blocks, same numbering, same rebuilt type
-    /// (the full-pipeline property lives in `tests/intern_equiv.rs`).
-    #[test]
-    fn interned_path_matches_reference() {
-        let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol(SymTarget::Lab(Label(0)), IntervalSet::all());
-        let a1 = ty.add_symbol(SymTarget::Lab(Label(1)), IntervalSet::all());
-        let a2 = ty.add_symbol(SymTarget::Lab(Label(1)), IntervalSet::all());
-        let b = ty.add_symbol(SymTarget::Lab(Label(2)), IntervalSet::all());
-        let c1 = ty.add_symbol(SymTarget::Lab(Label(1)), IntervalSet::all());
-        ty.set_mu(
-            r,
-            Disjunction(vec![
-                SAtom::new(vec![(a1, Mult::Star), (b, Mult::One)]),
-                SAtom::new(vec![(a2, Mult::Star), (c1, Mult::Opt)]),
-            ]),
-        );
-        ty.set_mu(a1, Disjunction::single(SAtom::new(vec![(b, Mult::One)])));
-        ty.set_mu(a2, Disjunction::single(SAtom::new(vec![(b, Mult::One)])));
-        ty.set_mu(b, Disjunction::leaf());
-        ty.set_mu(c1, Disjunction::single(SAtom::new(vec![(b, Mult::Plus)])));
-        ty.add_root(r);
-        let it = IncompleteTree::new(std::collections::BTreeMap::new(), ty).unwrap();
-        let interned = it.minimize();
-        let reference = it.minimize_reference();
-        assert_eq!(
-            format!("{:?}", interned.ty()),
-            format!("{:?}", reference.ty())
-        );
-        assert_eq!(interned.size(), reference.size());
-    }
-
-    /// `r -> µ(a1, a2)` with two leaf children of label 1: `a1` under
-    /// `all`, `a2` under `cond2`.
-    fn two_kids(
-        cond2: IntervalSet,
-        mu: impl Fn(Sym, Sym) -> Disjunction,
-    ) -> (ConditionalTreeType, [Sym; 3]) {
-        let mut ty = ConditionalTreeType::new();
-        let r = ty.add_symbol(SymTarget::Lab(Label(0)), IntervalSet::all());
-        let a1 = ty.add_symbol(SymTarget::Lab(Label(1)), IntervalSet::all());
-        let a2 = ty.add_symbol(SymTarget::Lab(Label(1)), cond2);
-        ty.set_mu(r, mu(a1, a2));
-        ty.set_mu(a1, Disjunction::leaf());
-        ty.set_mu(a2, Disjunction::leaf());
-        ty.add_root(r);
-        (ty, [r, a1, a2])
-    }
-
-    /// `minimized()` borrows exactly when the reference minimization
-    /// returns a tree equal to its input, over the shapes that decide
-    /// it: merges, distinct keys, shared keys that stay apart (split by
-    /// µ or frozen), unsorted or duplicate atoms, unsorted roots,
-    /// useless symbols and the empty type.
-    #[test]
-    fn minimized_borrows_exactly_when_reference_is_unchanged() {
-        let stars = |a: Sym, b: Sym| {
-            Disjunction::single(SAtom::new(vec![(a, Mult::Star), (b, Mult::Star)]))
-        };
-        let pos = || Cond::gt(Rat::ZERO).to_intervals();
-        let mut cases: Vec<(&str, ConditionalTreeType, bool)> = Vec::new();
-        cases.push((
-            "bisimilar pair",
-            two_kids(IntervalSet::all(), stars).0,
-            false,
-        ));
-        cases.push(("distinct keys", two_kids(pos(), stars).0, true));
-        let (mut split, [_, a1, a2]) = two_kids(IntervalSet::all(), stars);
-        split.set_mu(a2, Disjunction::single(SAtom::new(vec![(a1, Mult::One)])));
-        cases.push(("shared key split by µ", split, true));
-        let ones =
-            |a: Sym, b: Sym| Disjunction::single(SAtom::new(vec![(a, Mult::One), (b, Mult::One)]));
-        cases.push((
-            "shared key frozen",
-            two_kids(IntervalSet::all(), ones).0,
-            true,
-        ));
-        let unsorted = |a: Sym, b: Sym| {
-            Disjunction(vec![
-                SAtom::new(vec![(b, Mult::Star)]),
-                SAtom::new(vec![(a, Mult::Star)]),
-            ])
-        };
-        cases.push(("unsorted atoms", two_kids(pos(), unsorted).0, false));
-        let twice = |a: Sym, _: Sym| Disjunction(vec![SAtom::new(vec![(a, Mult::One)]); 2]);
-        cases.push(("duplicate atoms", two_kids(pos(), twice).0, false));
-        let (mut roots, [r, a1, _]) = two_kids(pos(), stars);
-        roots.set_roots(vec![a1, r]);
-        cases.push(("unsorted roots", roots, false));
-        let (mut orphan, _) = two_kids(pos(), stars);
-        let o = orphan.add_symbol(SymTarget::Lab(Label(2)), IntervalSet::all());
-        orphan.set_mu(o, Disjunction::leaf());
-        cases.push(("useless symbol", orphan, false));
-        cases.push(("empty type", ConditionalTreeType::new(), true));
-        for (name, ty, expect) in cases {
-            let it = IncompleteTree::new(BTreeMap::new(), ty).unwrap();
-            let unchanged = format!("{:?}", it.minimize_reference()) == format!("{it:?}");
-            let borrowed = matches!(it.minimized(), Cow::Borrowed(_));
-            assert_eq!(
-                borrowed, unchanged,
-                "{name}: borrowed iff reference unchanged"
-            );
-            assert_eq!(borrowed, expect, "{name}");
-            assert_eq!(
-                format!("{:?}", it.minimize()),
-                format!("{:?}", it.minimize_reference()),
-                "{name}"
-            );
-        }
     }
 
     /// Minimization is idempotent.

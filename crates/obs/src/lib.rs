@@ -15,7 +15,10 @@
 //! * **Disabled by default, branch-on-atomic when off.** Every record
 //!   call first does one relaxed atomic load; unless `IIXML_OBS=1` is
 //!   set in the environment (or [`set_enabled`] was called), nothing
-//!   else happens — no clock reads, no locking, no allocation.
+//!   else happens — no clock reads, no locking, no allocation. The one
+//!   exception is [`LazyCounter::add_always`], which the 11 counters of
+//!   the server's Stats body use: they count with collection off too,
+//!   at one relaxed `fetch_add` each.
 //! * **Static handles for hot paths.** Call sites declare
 //!   `static M: LazyCounter = LazyCounter::new("core.refine.steps");`
 //!   and pay one `OnceLock` pointer load after first use. Dynamic names
@@ -359,6 +362,14 @@ impl LazyCounter {
     pub fn incr(&self) {
         self.add(1);
     }
+
+    /// Adds `n` whether or not collection is enabled: one relaxed
+    /// `fetch_add`. Only the counters a server reports in its Stats
+    /// use it; every other metric stays gated.
+    #[inline]
+    pub fn add_always(&self, n: u64) {
+        self.get().add(n);
+    }
 }
 
 /// A histogram handle for `static` declaration at hot call sites.
@@ -562,6 +573,19 @@ mod tests {
         // The histogram was never registered (observe was gated).
         assert!(snap.histogram("test.hist.gated").is_none());
         set_enabled(false);
+    }
+
+    #[test]
+    fn add_always_counts_with_collection_off() {
+        let _g = serial();
+        set_enabled(false);
+        static C: LazyCounter = LazyCounter::new("test.counter.always");
+        C.add_always(2);
+        C.incr();
+        C.add_always(1);
+        assert_eq!(counter("test.counter.always").get(), 3);
+        reset();
+        assert_eq!(counter("test.counter.always").get(), 0);
     }
 
     #[test]

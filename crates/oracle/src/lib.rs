@@ -21,6 +21,8 @@
 //!   [`root_reachable`] — an incomplete tree cut down to the symbols its
 //!   roots reach, the shape `refine::intersect` returns next to that full
 //!   product;
+//! * [`minimize_reference`] — the structural bisimulation minimization
+//!   as it was before the shipping partition ran on interned ids;
 //! * [`parse_incomplete_xml_reference`] — the knowledge-text parser as it
 //!   was before its single-pass rewrite.
 
@@ -31,8 +33,10 @@ use iixml_values::{IntervalSet, Rat};
 use std::collections::{HashMap, HashSet};
 
 mod knowledge_text;
+mod minimize;
 mod reference;
 pub use knowledge_text::parse_incomplete_xml_reference;
+pub use minimize::minimize_reference;
 pub use reference::intersect_reference;
 
 /// Bounds for exhaustive enumeration.

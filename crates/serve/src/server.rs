@@ -30,7 +30,7 @@
 use std::collections::BTreeMap;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -48,6 +48,9 @@ use crate::proto::{self, ReqOp, Request, RespOp};
 use crate::source::CatalogSource;
 use crate::tenant::{Admission, AdmissionConfig, Shed, TenantGate};
 
+// The eight server event counters. Each event is counted once, here,
+// with collection on or off (`add_always`); `stats_json` reads them and
+// the three containment counters back from the obs registry.
 static OBS_ACCEPTED: LazyCounter = LazyCounter::new(keys::SERVE_ACCEPTED);
 static OBS_REQUESTS: LazyCounter = LazyCounter::new(keys::SERVE_REQUESTS);
 static OBS_SHED: LazyCounter = LazyCounter::new(keys::SERVE_SHED);
@@ -62,8 +65,13 @@ static OBS_FRAME_BYTES: LazyHistogram = LazyHistogram::new(keys::SERVE_FRAME_BYT
 /// immediate `Shed` frame (overload) and a close.
 const MAX_CONNS: usize = 1024;
 
-/// Server configuration. Every knob has an `IIXML_SERVE_*` env
-/// counterpart (see [`ServeConfig::from_env`] and the README table).
+/// Max `read` syscalls per request frame (the slow-loris budget).
+const FRAME_READ_BUDGET: u32 = 64;
+
+/// Server configuration. [`ServeConfig::from_env`] reads the port, the
+/// shard count, the admission limits and the deadlines from the
+/// `IIXML_SERVE_*` environment (see the README table); `refill_ms`,
+/// `journal_root` and `batched_journal` have no env counterpart.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// TCP port to bind on 127.0.0.1 (0 = ephemeral).
@@ -76,8 +84,6 @@ pub struct ServeConfig {
     pub read_timeout_ms: u64,
     /// Per-connection write deadline (ms).
     pub write_timeout_ms: u64,
-    /// Max `read` syscalls per frame (slow-loris budget).
-    pub frame_read_budget: u32,
     /// Journal root; `None` = in-memory sessions only.
     pub journal_root: Option<PathBuf>,
     /// Use the batched group-commit flush policy (the `Sync` op is the
@@ -99,7 +105,6 @@ impl Default for ServeConfig {
             },
             read_timeout_ms: 2000,
             write_timeout_ms: 2000,
-            frame_read_budget: 64,
             journal_root: None,
             batched_journal: true,
         }
@@ -133,7 +138,6 @@ impl ServeConfig {
             read_timeout_ms: env_parse(keys::ENV_SERVE_READ_TIMEOUT_MS, d.read_timeout_ms).max(1),
             write_timeout_ms: env_parse(keys::ENV_SERVE_WRITE_TIMEOUT_MS, d.write_timeout_ms)
                 .max(1),
-            frame_read_budget: d.frame_read_budget,
             journal_root: d.journal_root,
             batched_journal: d.batched_journal,
         }
@@ -193,21 +197,6 @@ struct Shard {
     meta: BTreeMap<String, SessionMeta>,
 }
 
-#[derive(Default)]
-struct Counters {
-    accepted: AtomicU64,
-    requests: AtomicU64,
-    shed: AtomicU64,
-    frame_errors: AtomicU64,
-    timeouts: AtomicU64,
-    opened: AtomicU64,
-    recovered: AtomicU64,
-    closed: AtomicU64,
-    contain_checks: AtomicU64,
-    contain_hits: AtomicU64,
-    contain_fast_rejects: AtomicU64,
-}
-
 struct Inner {
     cfg: ServeConfig,
     listener: TcpListener,
@@ -215,7 +204,6 @@ struct Inner {
     admission: Admission,
     shutdown: AtomicBool,
     active_conns: AtomicUsize,
-    counters: Counters,
 }
 
 /// FNV-1a; the shard router (stable across platforms and runs).
@@ -288,7 +276,6 @@ impl Server {
             shards,
             shutdown: AtomicBool::new(false),
             active_conns: AtomicUsize::new(0),
-            counters: Counters::default(),
         });
         recover_fleet(&inner)?;
         let runner = {
@@ -485,8 +472,7 @@ fn recover_fleet(inner: &Arc<Inner>) -> Result<(), ServeError> {
         let mut shard = lock(shard_mutex);
         shard.house.adopt(name.clone(), session);
         shard.meta.insert(name, meta);
-        inner.counters.recovered.fetch_add(1, Ordering::Relaxed);
-        OBS_RECOVERED.incr();
+        OBS_RECOVERED.add_always(1);
     }
     Ok(())
 }
@@ -506,8 +492,7 @@ fn accept_loop(inner: &Arc<Inner>) {
     while !inner.shutdown.load(Ordering::Acquire) {
         match inner.listener.accept() {
             Ok((stream, _addr)) => {
-                inner.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                OBS_ACCEPTED.incr();
+                OBS_ACCEPTED.add_always(1);
                 dispatch_conn(inner, stream);
             }
             // Nonblocking listener: `WouldBlock` (or a transient error)
@@ -525,13 +510,12 @@ fn dispatch_conn(inner: &Arc<Inner>, stream: TcpStream) {
         stream,
         cfg.read_timeout_ms,
         cfg.write_timeout_ms,
-        cfg.frame_read_budget,
+        FRAME_READ_BUDGET,
     ) else {
         return;
     };
     if inner.active_conns.load(Ordering::Acquire) >= MAX_CONNS {
-        inner.counters.shed.fetch_add(1, Ordering::Relaxed);
-        OBS_SHED.incr();
+        OBS_SHED.add_always(1);
         let _ = ds.write_frame(&shed_frame(Shed::Inflight, cfg.admission.refill_ms));
         ds.shutdown();
         return;
@@ -547,8 +531,7 @@ fn dispatch_conn(inner: &Arc<Inner>, stream: TcpStream) {
     if spawned.is_err() {
         // Could not even spawn: treat as overload.
         inner.active_conns.fetch_sub(1, Ordering::AcqRel);
-        inner.counters.shed.fetch_add(1, Ordering::Relaxed);
-        OBS_SHED.incr();
+        OBS_SHED.add_always(1);
     }
 }
 
@@ -571,15 +554,13 @@ fn conn_main(inner: &Arc<Inner>, ds: &mut DeadlineStream) {
                 match handle_frame(inner, &mut tenant, op, &body) {
                     Outcome::Reply(frame) => {
                         if ds.write_frame(&frame).is_err() {
-                            inner.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                            OBS_TIMEOUTS.incr();
+                            OBS_TIMEOUTS.add_always(1);
                             ds.shutdown();
                             return;
                         }
                     }
                     Outcome::Degrade(last) => {
-                        inner.counters.frame_errors.fetch_add(1, Ordering::Relaxed);
-                        OBS_FRAME_ERRORS.incr();
+                        OBS_FRAME_ERRORS.add_always(1);
                         if let Some(frame) = last {
                             let _ = ds.write_frame(&frame);
                         }
@@ -589,16 +570,14 @@ fn conn_main(inner: &Arc<Inner>, ds: &mut DeadlineStream) {
                 }
             }
             Err(ConnError::Timeout | ConnError::SlowLoris) => {
-                inner.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                OBS_TIMEOUTS.incr();
+                OBS_TIMEOUTS.add_always(1);
                 ds.shutdown();
                 return;
             }
             Err(ConnError::Frame(e)) => {
                 // Garbage, bad CRC, or a version we don't speak: tell
                 // the peer why (best effort), then degrade.
-                inner.counters.frame_errors.fetch_add(1, Ordering::Relaxed);
-                OBS_FRAME_ERRORS.incr();
+                OBS_FRAME_ERRORS.add_always(1);
                 let code = if matches!(e, proto::FrameError::BadVersion(_)) {
                     "version"
                 } else {
@@ -610,8 +589,7 @@ fn conn_main(inner: &Arc<Inner>, ds: &mut DeadlineStream) {
             }
             Err(ConnError::ClosedMidFrame | ConnError::Io(_)) => {
                 // Disconnect mid-request / reset: connection-local.
-                inner.counters.frame_errors.fetch_add(1, Ordering::Relaxed);
-                OBS_FRAME_ERRORS.incr();
+                OBS_FRAME_ERRORS.add_always(1);
                 ds.shutdown();
                 return;
             }
@@ -658,13 +636,11 @@ fn handle_frame(
             let _guard = match inner.admission.try_request(&gate) {
                 Ok(g) => g,
                 Err(shed) => {
-                    inner.counters.shed.fetch_add(1, Ordering::Relaxed);
-                    OBS_SHED.incr();
+                    OBS_SHED.add_always(1);
                     return Outcome::Reply(shed_frame(shed, inner.cfg.admission.refill_ms));
                 }
             };
-            inner.counters.requests.fetch_add(1, Ordering::Relaxed);
-            OBS_REQUESTS.incr();
+            OBS_REQUESTS.add_always(1);
             Outcome::Reply(handle_session_request(inner, &tenant, &gate, req))
         }
     }
@@ -687,10 +663,10 @@ fn handle_session_request(
                 Ok(q) => q,
                 Err(e) => return err_frame("bad-query", &e.to_string()),
             };
-            let before = contain_snapshot(sess);
+            let hits = sess.containment_hits();
             let res = sess.fetch(&q);
             note_fault(sess, meta, res.as_ref().err());
-            let hit = note_containment(inner, sess, before);
+            let hit = sess.containment_hits() > hits;
             match res {
                 Ok(ans) => resp_frame(
                     RespOp::Answer,
@@ -719,10 +695,10 @@ fn handle_session_request(
                     Ok(q) => q,
                     Err(e) => return err_frame("bad-query", &e.to_string()),
                 };
-                let before = contain_snapshot(sess);
+                let hits = sess.containment_hits();
                 let ans = sess.answer_resilient(&q);
                 note_fault(sess, meta, None);
-                let hit = note_containment(inner, sess, before);
+                let hit = sess.containment_hits() > hits;
                 local_answer_frame(&ans, &meta.marker(), Some(hit))
             })
         }
@@ -758,45 +734,6 @@ fn hit_word(hit: bool) -> &'static str {
     } else {
         "miss"
     }
-}
-
-/// Per-session containment counters before a call, for delta
-/// accounting afterwards.
-#[derive(Clone, Copy)]
-struct ContainSnapshot {
-    checks: u64,
-    hits: u64,
-    fast_rejects: u64,
-}
-
-fn contain_snapshot(sess: &Session<CatalogSource>) -> ContainSnapshot {
-    ContainSnapshot {
-        checks: sess.containment_checks(),
-        hits: sess.containment_hits(),
-        fast_rejects: sess.containment_fast_rejects(),
-    }
-}
-
-/// Folds a call's containment-counter deltas into the fleet counters;
-/// returns whether the call was answered from the cache.
-fn note_containment(
-    inner: &Arc<Inner>,
-    sess: &Session<CatalogSource>,
-    before: ContainSnapshot,
-) -> bool {
-    let after = contain_snapshot(sess);
-    let c = &inner.counters;
-    c.contain_checks.fetch_add(
-        after.checks.saturating_sub(before.checks),
-        Ordering::Relaxed,
-    );
-    c.contain_hits
-        .fetch_add(after.hits.saturating_sub(before.hits), Ordering::Relaxed);
-    c.contain_fast_rejects.fetch_add(
-        after.fast_rejects.saturating_sub(before.fast_rejects),
-        Ordering::Relaxed,
-    );
-    after.hits > before.hits
 }
 
 fn local_answer_frame(ans: &LocalAnswer, marker: &str, contain: Option<bool>) -> Vec<u8> {
@@ -864,8 +801,7 @@ fn open_session(
         return resp_frame(RespOp::Opened, &format!("attached\n{}", meta.marker()));
     }
     if let Err(shed) = gate.try_open_session(inner.admission.config()) {
-        inner.counters.shed.fetch_add(1, Ordering::Relaxed);
-        OBS_SHED.incr();
+        OBS_SHED.add_always(1);
         return shed_frame(shed, inner.cfg.admission.refill_ms);
     }
     let cat = iixml_gen::catalog(products, seed);
@@ -900,8 +836,7 @@ fn open_session(
         shard.house.register(&scoped, cat.alpha, source);
     }
     shard.meta.insert(scoped, meta);
-    inner.counters.opened.fetch_add(1, Ordering::Relaxed);
-    OBS_OPENED.incr();
+    OBS_OPENED.add_always(1);
     resp_frame(RespOp::Opened, "created\nok")
 }
 
@@ -950,37 +885,37 @@ fn close_session(
         let _ = std::fs::remove_file(tdir.join(format!("{session}.meta")));
     }
     gate.release_session();
-    inner.counters.closed.fetch_add(1, Ordering::Relaxed);
-    OBS_CLOSED.incr();
+    OBS_CLOSED.add_always(1);
     match sync_err {
         None => resp_frame(RespOp::Ok, &format!("closed\n{marker}")),
         Some(e) => resp_frame(RespOp::Ok, &format!("closed\nfault:{e}")),
     }
 }
 
-/// Builds the stats snapshot: fleet counters, per-tenant admission
-/// state, and per-session durability (recovery outcome + sticky
-/// fault) — satellite visibility for degraded durability.
+/// Builds the stats snapshot: the process's event counters (read from
+/// the obs registry), per-tenant admission state, and per-session
+/// durability (recovery outcome + sticky fault) — satellite visibility
+/// for degraded durability.
 fn stats_json(inner: &Arc<Inner>) -> String {
     use iixml_obs::json::Json;
-    let c = &inner.counters;
+    let count = |key: &str| iixml_obs::counter(key).get();
     let counters = Json::obj()
-        .set("accepted", c.accepted.load(Ordering::Relaxed))
-        .set("requests", c.requests.load(Ordering::Relaxed))
-        .set("shed", c.shed.load(Ordering::Relaxed))
-        .set("frame_errors", c.frame_errors.load(Ordering::Relaxed))
-        .set("conn_timeouts", c.timeouts.load(Ordering::Relaxed))
-        .set("sessions_opened", c.opened.load(Ordering::Relaxed))
-        .set("sessions_recovered", c.recovered.load(Ordering::Relaxed))
-        .set("sessions_closed", c.closed.load(Ordering::Relaxed))
+        .set("accepted", count(keys::SERVE_ACCEPTED))
+        .set("requests", count(keys::SERVE_REQUESTS))
+        .set("shed", count(keys::SERVE_SHED))
+        .set("frame_errors", count(keys::SERVE_FRAME_ERRORS))
+        .set("conn_timeouts", count(keys::SERVE_CONN_TIMEOUTS))
+        .set("sessions_opened", count(keys::SERVE_SESSIONS_OPENED))
+        .set("sessions_recovered", count(keys::SERVE_SESSIONS_RECOVERED))
+        .set("sessions_closed", count(keys::SERVE_SESSIONS_CLOSED))
         .set(
             "containment_checks",
-            c.contain_checks.load(Ordering::Relaxed),
+            count(keys::MEDIATOR_CONTAINMENT_CHECKS),
         )
-        .set("containment_hits", c.contain_hits.load(Ordering::Relaxed))
+        .set("containment_hits", count(keys::MEDIATOR_CONTAINMENT_HITS))
         .set(
             "containment_fast_rejects",
-            c.contain_fast_rejects.load(Ordering::Relaxed),
+            count(keys::MEDIATOR_CONTAINMENT_FAST_REJECTS),
         );
     let tenants: Vec<Json> = inner
         .admission

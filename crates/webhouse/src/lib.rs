@@ -76,6 +76,8 @@ static OBS_DEGRADED: LazyCounter = LazyCounter::new(keys::WEBHOUSE_DEGRADED_ANSW
 static OBS_QUARANTINES: LazyCounter = LazyCounter::new(keys::WEBHOUSE_QUARANTINES);
 /// Backoff pauses (ns), simulated or slept.
 static OBS_BACKOFF_NS: LazyHistogram = LazyHistogram::new(keys::WEBHOUSE_BACKOFF_NS);
+// The three containment counters count with collection off too
+// (`add_always`): the server's Stats body reports them.
 /// Containment-cache lookups before fetch/mediation.
 static OBS_CONTAIN_CHECKS: LazyCounter = LazyCounter::new(keys::MEDIATOR_CONTAINMENT_CHECKS);
 /// Containment-cache lookups answered from recorded knowledge.
@@ -437,12 +439,6 @@ impl<E: SourceEndpoint> Session<E> {
         self.contain_cache.hits()
     }
 
-    /// Cache entries a lookup rejected because the label skeletons
-    /// differ.
-    pub fn containment_fast_rejects(&self) -> u64 {
-        self.contain_cache.fast_rejects()
-    }
-
     /// Tries the containment cache; the returned answer (if any) is
     /// byte-identical to what the source would ship for `q` right now.
     fn cache_lookup(&mut self, q: &PsQuery) -> Option<Answer> {
@@ -450,11 +446,11 @@ impl<E: SourceEndpoint> Session<E> {
             return None;
         }
         let rejects_before = self.contain_cache.fast_rejects();
-        OBS_CONTAIN_CHECKS.incr();
+        OBS_CONTAIN_CHECKS.add_always(1);
         let hit = self.contain_cache.lookup(q);
-        OBS_CONTAIN_FAST_REJECTS.add(self.contain_cache.fast_rejects() - rejects_before);
+        OBS_CONTAIN_FAST_REJECTS.add_always(self.contain_cache.fast_rejects() - rejects_before);
         if hit.is_some() {
-            OBS_CONTAIN_HITS.incr();
+            OBS_CONTAIN_HITS.add_always(1);
         }
         hit
     }

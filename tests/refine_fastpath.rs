@@ -44,7 +44,7 @@ use iixml_gen::testkit::check_with;
 use iixml_gen::{blowup_queries, catalog};
 use iixml_mediator::auxiliary_queries;
 use iixml_obs::keys;
-use iixml_oracle::{intersect_reference, root_reachable};
+use iixml_oracle::{intersect_reference, minimize_reference, root_reachable};
 use iixml_query::{parse_ps_query, Answer, PsQuery};
 use iixml_tree::{Alphabet, DataTree, Mult, Nid};
 use iixml_values::{IntervalSet, Rat};
@@ -118,7 +118,7 @@ fn run_chain(
             Cow::Borrowed(_) => t.trim_borrowed += 1,
             Cow::Owned(_) => t.trim_owned += 1,
         }
-        let ref_min = ref_trimmed.minimize_reference();
+        let ref_min = minimize_reference(&ref_trimmed);
         let unchanged = debug(&ref_min) == debug(&ref_trimmed);
         match trimmed.minimized() {
             Cow::Borrowed(_) => {
