@@ -17,6 +17,13 @@
 //!   fetch. Gated `< 0.05`: the analyzer must cost a rounding error
 //!   relative to the round-trip it tries to save.
 //!
+//! Two ungated rows measure the dry run that would replace the cache
+//! (ROADMAP item 2): `dry_run_us` is the median time of
+//! `Refiner::determination`, the dry run that opens an Ask, on the
+//! cached session's knowledge after the mix, for a query it leaves
+//! undecided (every product priced below 500, past the widest fetched
+//! slice), and `dry_run_ratio` that time ÷ the cache-miss fetch.
+//!
 //! `cargo run -p iixml-bench --bin report -- --bench contain` runs this
 //! and writes `BENCH_contain.json`; `--quick` shrinks the catalog for
 //! CI smoke runs. This area leaves obs collection off, so the
@@ -26,6 +33,7 @@ use crate::harness::median_ns;
 use crate::row::Row;
 use iixml_contain::AnswerCache;
 use iixml_core::io::write_incomplete_xml;
+use iixml_core::{Determination, Refiner};
 use iixml_gen::{catalog, catalog_query_price_below, random_queries, Catalog};
 use iixml_query::{Answer, PsQuery};
 use iixml_tree::DataTree;
@@ -55,6 +63,8 @@ pub struct ContainReport {
     pub check_ns: f64,
     /// Median ns of one cache-miss fetch, end to end.
     pub miss_fetch_ns: f64,
+    /// Median ns of one undecided dry run on the mix's final knowledge.
+    pub dry_run_ns: f64,
 }
 
 /// Ordered rendering of an answer tree (node ids, labels, values,
@@ -153,6 +163,13 @@ pub fn run(quick: bool) -> ContainReport {
     let t_off = run_mix(&mut off, &mix, &cat);
     let bytes_identical = t_on == t_off;
 
+    let undecided = catalog_query_price_below(&mut cat.alpha, 500);
+    let known = Refiner::from_tree(on.knowledge().clone());
+    let dry_run_ns = median_ns(samples, || {
+        let d = known.determination(&undecided);
+        assert_eq!(d, Determination::Undecided, "a slice past the mix");
+    });
+
     // Overhead probe: a populated cache answering a narrower query
     // (the expensive path: full descent + replay eval) vs a cold
     // session's end-to-end source fetch of it.
@@ -183,12 +200,14 @@ pub fn run(quick: bool) -> ContainReport {
         bytes_identical,
         check_ns,
         miss_fetch_ns,
+        dry_run_ns,
     }
 }
 
 impl ContainReport {
     /// The workload's counts, then the three gated rows and the two
-    /// timings behind the overhead ratio.
+    /// timings behind the overhead ratio, then the dry run's time and
+    /// its ratio to the miss.
     pub fn rows(&self) -> Vec<Row> {
         let count = |metric: &str, v: f64| Row::higher("contain", metric, "count", v);
         let fetch_reduction = match self.fetches_off {
@@ -219,6 +238,13 @@ impl ContainReport {
                 self.check_ns / self.miss_fetch_ns,
             )
             .bound(0.05),
+            Row::lower("contain", "dry_run_us", "us", self.dry_run_ns / 1e3),
+            Row::lower(
+                "contain",
+                "dry_run_ratio",
+                "frac",
+                self.dry_run_ns / self.miss_fetch_ns,
+            ),
         ]
     }
 }

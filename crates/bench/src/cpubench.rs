@@ -36,6 +36,14 @@
 //! snapshot at record 32 holds), and `knowledge_parse_allocs` the
 //! allocations one parse makes.
 //!
+//! Two more ungated rows time a warm Ask as a `read_heavy` session
+//! answers it: a typed 32-product catalog fully fetched
+//! (`catalog/product{name, price, cat/subcat}`), its known data tree
+//! built, then `Refiner::answer` on `catalog/product{name, price[< b]}`
+//! for bounds `b` spread over the price range, with metric collection
+//! off. `ask_warm_us` is the median over samples of the mean time of
+//! one Ask, and `ask_warm_allocs` the allocations one Ask makes.
+//!
 //! `cargo run -p iixml-bench --bin report -- --bench cpu` runs these and
 //! writes `BENCH_cpu.json`; `--quick` shrinks workloads and sample
 //! counts for CI smoke runs.
@@ -45,7 +53,7 @@ use crate::refine_blowup_tree;
 use crate::row::Row;
 use iixml_core::io::{parse_incomplete_xml, write_incomplete_xml};
 use iixml_core::type_intersect::restrict_to_type;
-use iixml_core::{IncompleteTree, Refiner, SymTarget};
+use iixml_core::{IncompleteTree, Refiner, SymTarget, Verdict};
 use iixml_gen::rng::DetRng;
 use iixml_query::{parse_ps_query, Answer, PsQuery};
 use iixml_tree::Alphabet;
@@ -112,6 +120,8 @@ pub struct CpuReport {
     pub steps: StepResult,
     /// Parses of a `restart`-shaped snapshot.
     pub parse: StepResult,
+    /// Warm Asks of a `read_heavy`-shaped session.
+    pub asks: StepResult,
 }
 
 /// Refine steps that change the knowledge, on `refine_heavy`-shaped
@@ -239,6 +249,66 @@ fn knowledge_parses(text: &str, alpha: &Alphabet, samples: usize) -> StepResult 
     }
 }
 
+/// A `read_heavy` session: a typed catalog of `products` products
+/// fully fetched, and the price bounds of the measured Asks.
+struct AskSession {
+    refiner: Refiner,
+    asks: Vec<PsQuery>,
+}
+
+fn ask_session(products: usize, seed: u64) -> AskSession {
+    let c = iixml_gen::catalog(products, seed);
+    let mut alpha = c.alpha.clone();
+    let full = parse_ps_query("catalog/product{name, price, cat/subcat}", &mut alpha)
+        .expect("the full query parses");
+    let asks = (0..64)
+        .map(|k| {
+            let text = format!("catalog/product{{name, price[< {}]}}", 10 + 490 * k / 64);
+            parse_ps_query(&text, &mut alpha).expect("ask queries parse")
+        })
+        .collect();
+    let labels: Vec<_> = alpha.labels().collect();
+    let mut refiner =
+        Refiner::from_tree(restrict_to_type(&IncompleteTree::universal(&labels), &c.ty));
+    refiner
+        .refine(&alpha, &full, &full.eval(&c.doc))
+        .expect("the full answer refines");
+    AskSession { refiner, asks }
+}
+
+/// Asks every query of `s` `samples` times (after two warm-up passes,
+/// the second of which builds the known data tree), timing and
+/// counting each Ask, with metric collection off.
+fn warm_asks(s: &mut AskSession, samples: usize) -> StepResult {
+    let was = iixml_obs::enabled();
+    iixml_obs::set_enabled(false);
+    for _ in 0..2 {
+        for q in &s.asks {
+            assert!(
+                matches!(s.refiner.answer(q), Verdict::Complete(_)),
+                "a fully fetched catalog answers every Ask"
+            );
+        }
+    }
+    let mut means = Vec::with_capacity(samples);
+    let mut allocs = 0.0;
+    for _ in 0..samples.max(1) {
+        let a0 = crate::allocs::count();
+        let t0 = Instant::now();
+        for q in &s.asks {
+            drop(s.refiner.answer(q));
+        }
+        let dt = t0.elapsed().as_nanos() as f64;
+        allocs = (crate::allocs::count() - a0) as f64 / s.asks.len() as f64;
+        means.push(dt / s.asks.len() as f64);
+    }
+    iixml_obs::set_enabled(was);
+    StepResult {
+        ns: median(means),
+        allocs,
+    }
+}
+
 /// Replicates the pre-interning initial-partition keying: two
 /// `format!` allocations per symbol. Kept here (not in `iixml-core`)
 /// purely as the micro-bench baseline for the interned keying.
@@ -289,6 +359,7 @@ pub fn run(quick: bool) -> CpuReport {
     let steps = refine_steps(&chains, samples);
     let (snapshot, snapshot_alpha) = restart_snapshot(0);
     let parse = knowledge_parses(&snapshot, &snapshot_alpha, if quick { 50 } else { 1000 });
+    let asks = warm_asks(&mut ask_session(32, 0), if quick { 20 } else { 400 });
 
     iixml_obs::set_enabled(true);
 
@@ -332,6 +403,7 @@ pub fn run(quick: bool) -> CpuReport {
         kernels: vec![intersect, minimize, sig_interning],
         steps,
         parse,
+        asks,
     }
 }
 
@@ -375,6 +447,13 @@ impl CpuReport {
             "count",
             self.parse.allocs,
         ));
+        rows.push(Row::lower("cpu", "ask_warm_us", "us", self.asks.ns / 1e3));
+        rows.push(Row::lower(
+            "cpu",
+            "ask_warm_allocs",
+            "count",
+            self.asks.allocs,
+        ));
         rows
     }
 }
@@ -412,7 +491,7 @@ mod tests {
     #[test]
     fn quick_run_carries_every_gate() {
         let rows = run(true).rows();
-        assert_eq!(rows.len(), 13);
+        assert_eq!(rows.len(), 15);
         assert!(rows.iter().all(|r| r.value > 0.0));
         assert_eq!(crate::row::gated(&rows), GATES);
     }

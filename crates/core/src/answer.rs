@@ -23,7 +23,7 @@ use crate::ctt::{ConditionalTreeType, Disjunction, SAtom, Sym, SymTarget};
 use crate::itree::{IncompleteTree, NodeInfo};
 use iixml_obs::{keys, LazyCounter};
 use iixml_query::{Answer, PsQuery, QNodeRef};
-use iixml_tree::{DataTree, Label, Mult, Nid};
+use iixml_tree::{DataTree, Mult, Nid};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -57,21 +57,30 @@ pub struct QueryOnIncomplete {
 /// completion generation (Theorem 3.19).
 #[derive(Clone, Debug)]
 pub struct MatchSets {
-    /// `poss[m.0][s.ix()]`: some tree of `rep(T_s)` matches `q_m`.
-    poss: Vec<Vec<bool>>,
-    /// `cert[m.0][s.ix()]`: every tree of `rep(T_s)` matches `q_m`.
-    cert: Vec<Vec<bool>>,
+    /// Symbols per query node.
+    syms: usize,
+    /// By `m.0 * syms + s.ix()`: [`POSS`] and [`CERT`] bits.
+    bits: Vec<u8>,
 }
 
+/// `s ∈ Poss(m)`: some tree of `rep(T_s)` matches `q_m`.
+const POSS: u8 = 1;
+/// `s ∈ Cert(m)`: every tree of `rep(T_s)` matches `q_m`.
+const CERT: u8 = 2;
+
 impl MatchSets {
+    fn get(&self, m: QNodeRef, s: Sym) -> u8 {
+        self.bits[m.0 as usize * self.syms + s.ix()]
+    }
+
     /// Is `s` in `Poss(m)`: does some tree of `rep(T_s)` match `q_m`?
     pub fn poss(&self, m: QNodeRef, s: Sym) -> bool {
-        self.poss[m.0 as usize][s.ix()]
+        self.get(m, s) & POSS != 0
     }
 
     /// Is `s` in `Cert(m)`: does every tree of `rep(T_s)` match `q_m`?
     pub fn cert(&self, m: QNodeRef, s: Sym) -> bool {
-        self.cert[m.0 as usize][s.ix()]
+        self.get(m, s) & CERT != 0
     }
 }
 
@@ -86,53 +95,71 @@ pub fn match_sets(it: &IncompleteTree, q: &PsQuery) -> MatchSets {
 /// [`match_sets`] over the symbols `productive` admits: all of them in
 /// a trim tree, whose every symbol is productive, so the fixpoint that
 /// finds them need not run.
+///
+/// A symbol can match only query nodes of its own label, so the
+/// admitted symbols are first bucketed by the query's distinct labels,
+/// reading the labels the tree carries; each query node then visits
+/// its label's bucket alone. Poss and Cert share one flat buffer.
 fn sets_over(it: &IncompleteTree, q: &PsQuery, productive: impl Fn(Sym) -> bool) -> MatchSets {
     let ty = it.ty();
-    // The label each productive symbol stands for, looked up once.
-    let underlying: Vec<Option<Label>> = ty
-        .syms()
-        .map(|s| match ty.info(s).target {
-            _ if !productive(s) => None,
-            SymTarget::Lab(l) => Some(l),
-            SymTarget::Node(n) => it.node_info(n).map(|i| i.label),
-        })
-        .collect();
+    let labels = it.labels();
+    // By query node: its label's symbols' range in `members`. Each
+    // symbol falls in one bucket at most.
+    let mut ranges = vec![(0, 0); q.len()];
+    let mut members: Vec<Sym> = Vec::with_capacity(labels.len());
+    let order = q.preorder();
+    for (i, &m) in order.iter().enumerate() {
+        let l = q.label(m);
+        // A label met before shares its bucket.
+        ranges[m.0 as usize] = match order[..i].iter().find(|&&p| q.label(p) == l) {
+            Some(&p) => ranges[p.0 as usize],
+            None => {
+                let lo = members.len();
+                members.extend(
+                    (0..labels.len() as u32)
+                        .map(Sym)
+                        .filter(|&s| labels[s.ix()] == l && productive(s)),
+                );
+                (lo, members.len())
+            }
+        };
+    }
     let mut sets = MatchSets {
-        poss: vec![Vec::new(); q.len()],
-        cert: vec![Vec::new(); q.len()],
+        syms: ty.sym_count(),
+        bits: vec![0; q.len() * ty.sym_count()],
     };
     // Reversed preorder visits children before parents.
     for &m in q.preorder().iter().rev() {
         let kids = q.children(m);
-        let mut poss = vec![false; ty.sym_count()];
-        let mut cert = vec![false; ty.sym_count()];
-        for s in ty.syms() {
-            if underlying[s.ix()] != Some(q.label(m)) {
-                continue;
-            }
+        let want = q.cond_set(m);
+        let (lo, hi) = ranges[m.0 as usize];
+        for &s in &members[lo..hi] {
             let cond = &ty.info(s).cond;
-            let p_cond = cond.overlaps(q.cond_set(m));
-            let c_cond = !cond.is_empty() && cond.implies(q.cond_set(m));
-            if p_cond {
-                poss[s.ix()] = kids.is_empty()
+            let mut bits = 0;
+            if cond.overlaps(want)
+                && (kids.is_empty()
                     || ty.mu(s).atoms().iter().any(|a| {
                         kids.iter()
                             .all(|&mi| a.entries().iter().any(|&(c, _)| sets.poss(mi, c)))
-                    });
+                    }))
+            {
+                bits |= POSS;
             }
-            if c_cond {
-                cert[s.ix()] = !ty.mu(s).atoms().is_empty()
-                    && ty.mu(s).atoms().iter().all(|a| {
-                        kids.iter().all(|&mi| {
-                            a.entries()
-                                .iter()
-                                .any(|&(c, mu)| mu.mandatory() && sets.cert(mi, c))
-                        })
-                    });
+            if !cond.is_empty()
+                && cond.implies(want)
+                && !ty.mu(s).atoms().is_empty()
+                && ty.mu(s).atoms().iter().all(|a| {
+                    kids.iter().all(|&mi| {
+                        a.entries()
+                            .iter()
+                            .any(|&(c, mu)| mu.mandatory() && sets.cert(mi, c))
+                    })
+                })
+            {
+                bits |= CERT;
             }
+            sets.bits[m.0 as usize * sets.syms + s.ix()] = bits;
         }
-        sets.poss[m.0 as usize] = poss;
-        sets.cert[m.0 as usize] = cert;
     }
     sets
 }
@@ -176,7 +203,7 @@ impl Verdict {
 /// `q` evaluated on the known data tree, with every node's children in
 /// ascending id order, as `data_tree()` orders them.
 fn answer_on_known(q: &PsQuery, known: &DataTree) -> Option<DataTree> {
-    let mut t = q.eval(known).tree?;
+    let mut t = q.eval_tree(known)?;
     t.sort_children_by_nid();
     Some(t)
 }
@@ -287,7 +314,7 @@ impl<'a> Builder<'a> {
                 }
         };
         let mut seen = vec![false; ty.sym_count() * width];
-        let mut stack: Vec<(Sym, QPos)> = Vec::new();
+        let mut stack: Vec<(Sym, QPos)> = Vec::with_capacity(ty.sym_count());
         for s in self.roots() {
             let pair = (s, QPos::At(self.q.root()));
             seen[slot(pair.0, pair.1)] = true;
@@ -503,8 +530,13 @@ impl IncompleteTree {
     /// may reach pairs the trim would drop, so it errs only towards
     /// [`Determination::Undecided`].
     pub fn determination(&self, q: &PsQuery) -> Determination {
-        Builder::new(&self.trimmed(), q).determination()
+        determination_trim(&self.trimmed(), q)
     }
+}
+
+/// [`IncompleteTree::determination`] of a tree that is already trim.
+pub(crate) fn determination_trim(trim: &IncompleteTree, q: &PsQuery) -> Determination {
+    Builder::new(trim, q).determination()
 }
 
 /// [`Refiner::answer`](crate::Refiner::answer) on a trim tree: the dry
@@ -551,12 +583,12 @@ pub(crate) fn implies<'d>(
     known: impl FnOnce() -> Option<&'d DataTree>,
 ) -> bool {
     let Some(a) = &ans.tree else {
-        return Builder::new(trim, q).determination() == Determination::Empty;
+        return determination_trim(trim, q) == Determination::Empty;
     };
     if !a.nids().all(|n| trim.nodes().contains_key(&n)) {
         return false;
     }
-    if Builder::new(trim, q).determination() != Determination::Known {
+    if determination_trim(trim, q) != Determination::Known {
         return false;
     }
     let Some(d) = known() else {
@@ -703,7 +735,7 @@ mod tests {
     use crate::ctt::{ConditionalTreeType, Disjunction, SAtom, SymTarget};
     use crate::itree::NodeInfo;
     use iixml_query::PsQueryBuilder;
-    use iixml_tree::{Alphabet, Nid, NidGen};
+    use iixml_tree::{Alphabet, Label, Nid, NidGen};
     use iixml_values::{Cond, IntervalSet, Rat};
     use std::collections::BTreeMap;
 

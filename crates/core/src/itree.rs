@@ -76,10 +76,17 @@ impl fmt::Display for ItreeError {
 impl std::error::Error for ItreeError {}
 
 /// An incomplete tree `(N, λ, ν, τ)`.
+///
+/// Each symbol's label — its target label, or `λ(n)` for a data node
+/// `n` — is carried beside the type, set where the symbols are made;
+/// nothing changes a tree's parts after construction, so it cannot go
+/// stale.
 #[derive(Clone, Debug)]
 pub struct IncompleteTree {
     nodes: BTreeMap<Nid, NodeInfo>,
     ty: ConditionalTreeType,
+    /// By symbol: the label of the nodes it types.
+    labels: Vec<Label>,
 }
 
 impl IncompleteTree {
@@ -87,44 +94,56 @@ impl IncompleteTree {
     /// their conditions are intersected with the singleton `{ν(n)}`
     /// (represented trees assign exactly `ν(n)` to node `n`), so that all
     /// downstream reasoning can treat conditions uniformly.
+    /// The same walk also reads each symbol's label.
     pub fn new(
         nodes: BTreeMap<Nid, NodeInfo>,
         mut ty: ConditionalTreeType,
     ) -> Result<IncompleteTree, ItreeError> {
+        let mut labels = Vec::with_capacity(ty.sym_count());
         for s in (0..ty.sym_count() as u32).map(Sym) {
-            if let SymTarget::Node(n) = ty.info(s).target {
-                let info = *nodes.get(&n).ok_or(ItreeError::UnknownNode(n))?;
-                let cond = &ty.info(s).cond;
-                // Already inside {ν(n)} (every product and `T_{q,A}`
-                // node symbol is): narrowing would rebuild an equal set.
-                if cond.is_empty() || cond.as_singleton() == Some(info.value) {
+            let n = match ty.info(s).target {
+                SymTarget::Lab(l) => {
+                    labels.push(l);
                     continue;
                 }
-                let narrowed = cond.intersect(&IntervalSet::eq(info.value));
-                ty.info_mut(s).cond = narrowed;
+                SymTarget::Node(n) => n,
+            };
+            let info = *nodes.get(&n).ok_or(ItreeError::UnknownNode(n))?;
+            labels.push(info.label);
+            let cond = &ty.info(s).cond;
+            // Already inside {ν(n)} (every product and `T_{q,A}`
+            // node symbol is): narrowing would rebuild an equal set.
+            if cond.is_empty() || cond.as_singleton() == Some(info.value) {
+                continue;
             }
+            let narrowed = cond.intersect(&IntervalSet::eq(info.value));
+            ty.info_mut(s).cond = narrowed;
         }
-        Ok(IncompleteTree { nodes, ty })
+        Ok(IncompleteTree { nodes, ty, labels })
     }
 
     /// An incomplete tree whose parts are already in [`new`](Self::new)'s
     /// normal form: every node-targeted symbol targets a node of
-    /// `nodes`, with a condition that is empty or `{ν(n)}`.
+    /// `nodes`, with a condition that is empty or `{ν(n)}`, and
+    /// `labels` holds each symbol's label.
     pub(crate) fn from_normalized(
         nodes: BTreeMap<Nid, NodeInfo>,
         ty: ConditionalTreeType,
+        labels: Vec<Label>,
     ) -> IncompleteTree {
         debug_assert!(
-            ty.syms().all(|s| match ty.info(s).target {
-                SymTarget::Lab(_) => true,
-                SymTarget::Node(n) => nodes.get(&n).is_some_and(|i| {
-                    let cond = &ty.info(s).cond;
-                    cond.is_empty() || cond.as_singleton() == Some(i.value)
+            labels.len() == ty.sym_count()
+                && ty.syms().all(|s| match ty.info(s).target {
+                    SymTarget::Lab(l) => labels[s.ix()] == l,
+                    SymTarget::Node(n) => nodes.get(&n).is_some_and(|i| {
+                        let cond = &ty.info(s).cond;
+                        labels[s.ix()] == i.label
+                            && (cond.is_empty() || cond.as_singleton() == Some(i.value))
+                    }),
                 }),
-            }),
-            "a node symbol outside its node's normal form"
+            "a node symbol outside its node's normal form, or a wrong label"
         );
-        IncompleteTree { nodes, ty }
+        IncompleteTree { nodes, ty, labels }
     }
 
     /// The incomplete tree representing *all* data trees over the given
@@ -143,6 +162,7 @@ impl IncompleteTree {
         IncompleteTree {
             nodes: BTreeMap::new(),
             ty,
+            labels: labels.to_vec(),
         }
     }
 
@@ -161,6 +181,17 @@ impl IncompleteTree {
         &self.ty
     }
 
+    /// The label of the nodes `s` types: its target label, or `λ(n)`
+    /// for a data node `n`.
+    pub fn label(&self, s: Sym) -> Label {
+        self.labels[s.ix()]
+    }
+
+    /// Every symbol's [`label`](Self::label), by symbol.
+    pub fn labels(&self) -> &[Label] {
+        &self.labels
+    }
+
     /// Size measure (see [`ConditionalTreeType::size`]) plus data nodes.
     pub fn size(&self) -> usize {
         self.nodes.len() + self.ty.size()
@@ -174,7 +205,7 @@ impl IncompleteTree {
     /// Removes useless symbols (preserving `rep` exactly) and drops data
     /// nodes no longer mentioned by any symbol.
     pub fn trim(&self) -> IncompleteTree {
-        let (ty, _) = self.ty.trim();
+        let (ty, remap) = self.ty.trim();
         let mut nodes = BTreeMap::new();
         for s in ty.syms() {
             if let SymTarget::Node(n) = ty.info(s).target {
@@ -183,7 +214,14 @@ impl IncompleteTree {
                 }
             }
         }
-        IncompleteTree { nodes, ty }
+        // Kept symbols keep their order, so their labels follow.
+        let labels = self
+            .labels
+            .iter()
+            .zip(&remap)
+            .filter_map(|(&l, kept)| kept.map(|_| l))
+            .collect();
+        IncompleteTree { nodes, ty, labels }
     }
 
     /// [`trim`](Self::trim) that borrows when there is nothing to
@@ -411,8 +449,7 @@ impl IncompleteTree {
         }
         let root = root?;
         let ri = self.nodes.get(&root)?;
-        let mut out = DataTree::new(root, ri.label, ri.value);
-        out.reserve(self.nodes.len() - 1);
+        let mut out = DataTree::with_capacity(root, ri.label, ri.value, self.nodes.len());
         // Insert children depth-first, each parent's in ascending id
         // order, from the edges sorted by (parent, child).
         let mut down: Vec<(Nid, Nid)> = up.iter().filter_map(|&(c, p)| p.map(|p| (p, c))).collect();
@@ -544,8 +581,7 @@ impl IncompleteTree {
                             .all(|j| !ty.info(group[i]).cond.overlaps(&ty.info(group[j]).cond))
                     });
                     let has_node = atom.entries().iter().any(|&(c, _)| {
-                        matches!(ty.info(c).target, SymTarget::Node(n)
-                            if self.nodes.get(&n).map(|i| i.label) == Some(l))
+                        matches!(ty.info(c).target, SymTarget::Node(_)) && self.label(c) == l
                     });
                     if !exclusive && !has_node {
                         return false;

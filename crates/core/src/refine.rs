@@ -27,7 +27,7 @@
 //! the product. A pair the knowledge already implies builds nothing:
 //! Refine would leave `rep` as it is, so the knowledge stays as it is.
 
-use crate::answer::{answer_trim, implies, Verdict};
+use crate::answer::{answer_trim, determination_trim, implies, Determination, Verdict};
 use crate::ctt::{ConditionalTreeType, Disjunction, SAtom, Sym, SymTarget, SymbolInfo};
 use crate::itree::{keep_unless_changed, IncompleteTree, ItreeError, NodeInfo};
 use iixml_obs::{keys, LazyCounter, LazyHistogram};
@@ -316,46 +316,26 @@ struct Pairing {
     /// The symbol's own target.
     target: SymTarget,
     /// The label of the nodes the symbol types (`λ(n)` for a data node).
-    label: Option<Label>,
+    label: Label,
     /// For a node target: does the other tree know that node too?
     known_to_other: bool,
 }
 
-/// The pairing facts of `t`'s symbols. The data-node facts come from one
-/// merge walk of the node-targeted symbols, sorted by node, against the
-/// two trees' (sorted) node maps, not from two map lookups per symbol.
+/// The pairing facts of `t`'s symbols: each one's carried label, and
+/// for a node target whether `other` knows that node.
 fn pairings(t: &IncompleteTree, other: &IncompleteTree) -> Vec<Pairing> {
     let ty = t.ty();
-    let mut by_node: Vec<(Nid, u32)> = Vec::new();
-    let mut out: Vec<Pairing> = ty
-        .syms()
+    let theirs = other.nodes();
+    ty.syms()
         .map(|s| {
             let target = ty.info(s).target;
-            let label = match target {
-                SymTarget::Lab(l) => Some(l),
-                SymTarget::Node(n) => {
-                    by_node.push((n, s.0));
-                    None
-                }
-            };
             Pairing {
                 target,
-                label,
-                known_to_other: false,
+                label: t.label(s),
+                known_to_other: matches!(target, SymTarget::Node(n) if theirs.contains_key(&n)),
             }
         })
-        .collect();
-    by_node.sort_unstable();
-    let mut mine = t.nodes().iter().peekable();
-    let mut theirs = other.nodes().keys().peekable();
-    for (n, s) in by_node {
-        while mine.next_if(|&(&m, _)| m < n).is_some() {}
-        while theirs.next_if(|&&m| m < n).is_some() {}
-        let p = &mut out[s as usize];
-        p.label = mine.peek().filter(|&(&m, _)| m == n).map(|(_, i)| i.label);
-        p.known_to_other = theirs.peek() == Some(&&n);
-    }
-    out
+        .collect()
 }
 
 /// The product symbols of one `intersect` call, discovered on demand:
@@ -469,10 +449,10 @@ impl LabelKeyed {
         for a2 in ty2.mu(s2).atoms() {
             let start = self.entries.len();
             for &(c2, m) in a2.entries() {
-                match pairing2[c2.ix()].label {
-                    Some(l) if m == Mult::Star => self.entries.push((l, c2)),
-                    _ => break,
+                if m != Mult::Star {
+                    break;
                 }
+                self.entries.push((pairing2[c2.ix()].label, c2));
             }
             let keys = &mut self.entries[start..];
             keys.sort_unstable();
@@ -716,7 +696,7 @@ pub fn intersect_certified(
     // shares one `ε` right-hand side. Symbols are built in discovery
     // order, the order their conditions and atoms were made in, into
     // their numbered slots.
-    let mut slots: Vec<Option<(SymbolInfo, Arc<Disjunction>)>> = vec![None; order.len()];
+    let mut slots: Vec<Option<(SymbolInfo, Arc<Disjunction>, Label)>> = vec![None; order.len()];
     let mut key_hashes: Vec<u64> = Vec::with_capacity(order.len());
     let mut leaf: Option<Arc<Disjunction>> = None;
     let mut spans: Vec<(usize, usize)> = Vec::new();
@@ -742,15 +722,19 @@ pub fn intersect_certified(
                     .collect(),
             )),
         };
-        let target = product.pairs[id].2;
+        let (s1, _, target) = product.pairs[id];
         let cond = std::mem::take(&mut product.conds[id]);
         key_hashes.push(key_hash(target, &cond));
-        slots[number[id].ix()] = Some((SymbolInfo { target, cond }, mu));
+        // A pair's sides carry one label (see `Product::target`).
+        let label = product.pairing1[s1.ix()].label;
+        slots[number[id].ix()] = Some((SymbolInfo { target, cond }, mu, label));
     }
     // Every reachable pair filled its own slot.
     let mut ty = ConditionalTreeType::with_capacity(order.len());
-    for (info, mu) in slots.into_iter().flatten() {
+    let mut labels = Vec::with_capacity(order.len());
+    for (info, mu, label) in slots.into_iter().flatten() {
         ty.push_symbol(info, mu);
+        labels.push(label);
     }
     debug_assert_eq!(ty.sym_count(), order.len(), "a numbered slot stayed empty");
     let mut roots: Vec<Sym> = roots.into_iter().map(|p| number[p.ix()]).collect();
@@ -763,7 +747,7 @@ pub fn intersect_certified(
     // Every node symbol's condition is inside `{ν(n)}` already: one side
     // of its pair targets `n` and was normalized by its own tree.
     Ok(CertifiedProduct {
-        tree: IncompleteTree::from_normalized(nodes, ty),
+        tree: IncompleteTree::from_normalized(nodes, ty, labels),
         minimal_if_trim,
         copies,
     })
@@ -824,9 +808,10 @@ impl Hasher for FoldHasher {
 fn copy_atom(a1: &SAtom, keys: &[(Label, Sym)], product: &mut Product<'_>, out: &mut Emitted) {
     let start = out.open();
     for &(c1, m1) in a1.entries() {
-        let partner = product.pairing1[c1.ix()]
-            .label
-            .and_then(|l| keys.binary_search_by_key(&l, |&(k, _)| k).ok())
+        let label = product.pairing1[c1.ix()].label;
+        let partner = keys
+            .binary_search_by_key(&label, |&(k, _)| k)
+            .ok()
             .and_then(|at| product.probe(c1, keys[at].1));
         match partner {
             Some(p) => out.entries.push((p, m1)),
@@ -1185,6 +1170,13 @@ impl Refiner {
     /// source document).
     pub fn data_tree(&self) -> Option<DataTree> {
         self.current.data_tree()
+    }
+
+    /// [`IncompleteTree::determination`] of the current knowledge,
+    /// without re-checking that it is trim: the dry run alone, as
+    /// [`answer`](Self::answer) runs it first.
+    pub fn determination(&self, q: &PsQuery) -> Determination {
+        determination_trim(&trim_view(&self.current, self.trim), q)
     }
 
     /// Answers `q` from the knowledge alone (Section 3.3). When

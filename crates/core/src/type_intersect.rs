@@ -15,7 +15,7 @@
 //! and "exactly one b-child" then means "exactly one child typed by one
 //! of them".
 
-use crate::ctt::{ConditionalTreeType, Disjunction, SAtom, Sym, SymTarget};
+use crate::ctt::{ConditionalTreeType, Disjunction, SAtom, Sym};
 use crate::itree::IncompleteTree;
 use iixml_obs::{keys, LazyCounter, LazyHistogram};
 use iixml_tree::{Label, Mult, TreeType};
@@ -27,14 +27,6 @@ static OBS_RESTRICT_NS: LazyHistogram = LazyHistogram::new(keys::CORE_TYPE_INTER
 static OBS_ATOM_FANOUT: LazyHistogram = LazyHistogram::new(keys::CORE_TYPE_INTERSECT_ATOM_FANOUT);
 /// Atoms eliminated as contradicting the type.
 static OBS_CONTRADICTIONS: LazyCounter = LazyCounter::new(keys::CORE_TYPE_INTERSECT_CONTRADICTIONS);
-
-/// The underlying element label of a symbol (through data nodes).
-fn underlying(it: &IncompleteTree, s: Sym) -> Option<Label> {
-    match it.ty().info(s).target {
-        SymTarget::Lab(l) => Some(l),
-        SymTarget::Node(n) => it.node_info(n).map(|i| i.label),
-    }
-}
 
 /// Restricts an incomplete tree to the trees that also satisfy the given
 /// tree type: `rep(result) = rep(it) ∩ rep(ty)` (Theorem 3.5).
@@ -49,7 +41,7 @@ pub fn restrict_to_type(it: &IncompleteTree, ty: &TreeType) -> IncompleteTree {
     }
     // R′: specializations of ρ's roots.
     for &r in src.roots() {
-        if underlying(it, r).is_some_and(|l| ty.roots().contains(&l)) {
+        if ty.roots().contains(&it.label(r)) {
             out.add_root(r);
         }
     }
@@ -58,11 +50,7 @@ pub fn restrict_to_type(it: &IncompleteTree, ty: &TreeType) -> IncompleteTree {
     // allocates it once.
     let mut atoms: Vec<SAtom> = Vec::new();
     for s in src.syms() {
-        let Some(label) = underlying(it, s) else {
-            out.set_mu(s, Disjunction(vec![]));
-            continue;
-        };
-        let rho = ty.atom(label);
+        let rho = ty.atom(it.label(s));
         atoms.clear();
         for atom in src.mu(s).atoms() {
             restrict_atom(it, atom, &rho, &mut atoms);
@@ -86,18 +74,11 @@ fn restrict_atom(
     rho: &iixml_tree::MultAtom,
     out: &mut Vec<SAtom>,
 ) {
-    // Group entry indices by underlying label.
+    // Group entry indices by the labels the symbols carry.
     let entries = atom.entries();
     let mut groups: BTreeMap<Label, Vec<usize>> = BTreeMap::new();
     for (i, &(c, _)) in entries.iter().enumerate() {
-        match underlying(it, c) {
-            Some(l) => groups.entry(l).or_default().push(i),
-            None => {
-                // Dangling node symbol: contradictory.
-                OBS_CONTRADICTIONS.incr();
-                return;
-            }
-        }
+        groups.entry(it.label(c)).or_default().push(i);
     }
     // Labels mandated by rho but absent from the atom: contradiction.
     for &(l, m) in rho.entries() {

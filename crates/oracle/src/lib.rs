@@ -24,7 +24,9 @@
 //! * [`minimize_reference`] — the structural bisimulation minimization
 //!   as it was before the shipping partition ran on interned ids;
 //! * [`parse_incomplete_xml_reference`] — the knowledge-text parser as it
-//!   was before its single-pass rewrite.
+//!   was before its single-pass rewrite;
+//! * [`match_sets_reference`] — the Poss/Cert sets of Theorem 3.14 as
+//!   they were computed before symbols carried their labels.
 
 use iixml_core::{ConditionalTreeType, Disjunction, IncompleteTree, SAtom, Sym, SymTarget};
 use iixml_obs::{keys, LazyCounter, LazyHistogram};
@@ -33,9 +35,11 @@ use iixml_values::{IntervalSet, Rat};
 use std::collections::{HashMap, HashSet};
 
 mod knowledge_text;
+mod match_sets;
 mod minimize;
 mod reference;
 pub use knowledge_text::parse_incomplete_xml_reference;
+pub use match_sets::{match_sets_reference, MatchSetsReference};
 pub use minimize::minimize_reference;
 pub use reference::intersect_reference;
 

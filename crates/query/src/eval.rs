@@ -125,65 +125,98 @@ impl PsQuery {
 
     /// Evaluates the query, returning the answer prefix with provenance.
     pub fn eval(&self, t: &DataTree) -> Answer {
+        let mut provenance = HashMap::new();
+        let tree = self.evaluate(t, Some(&mut provenance));
+        Answer { tree, provenance }
+    }
+
+    /// The answer tree of [`eval`](Self::eval) alone, for callers that
+    /// would drop the provenance: the same evaluation, which then does
+    /// not fill it.
+    pub fn eval_tree(&self, t: &DataTree) -> Option<DataTree> {
+        self.evaluate(t, None)
+    }
+
+    /// The one evaluator behind [`eval`](Self::eval) and
+    /// [`eval_tree`](Self::eval_tree): finds the answer's nodes first,
+    /// so the answer tree (and `provenance`, when given) is built at its
+    /// final size.
+    fn evaluate(
+        &self,
+        t: &DataTree,
+        provenance: Option<&mut HashMap<Nid, MatchKind>>,
+    ) -> Option<DataTree> {
         OBS_EVALS.incr();
         let mut memo = SatMemo::new(self.len(), t.len());
         if !self.sat(t, self.root(), t.root(), &mut memo) {
             OBS_VALUATIONS.observe(memo.filled);
             OBS_ANSWER_NODES.observe(0);
-            return Answer::empty();
+            return None;
         }
         // The root matches; collect the image of all valuations.
         // `in_image(m, n)` holds iff sat(m, n) and the parents are in
         // image of each other — we materialize the answer top-down.
-        let mut answer = DataTree::new(t.nid(t.root()), t.label(t.root()), t.value(t.root()));
-        let mut provenance = HashMap::new();
-        provenance.insert(t.nid(t.root()), MatchKind::Matched(self.root()));
-        let answer_root = answer.root();
-        self.collect(
-            t,
-            self.root(),
-            t.root(),
-            &mut answer,
-            answer_root,
-            &mut provenance,
-            &mut memo,
-        );
+        let mut picked = Vec::with_capacity(t.len());
+        picked.push(Picked {
+            node: t.root(),
+            parent: 0,
+            kind: MatchKind::Matched(self.root()),
+        });
+        self.collect(t, self.root(), t.root(), 0, &mut picked, &mut memo);
+        // The answer's nodes enter it in `picked` order, so the `i`-th
+        // picked node is the answer's node `i`.
+        let root = t.root();
+        let mut answer =
+            DataTree::with_capacity(t.nid(root), t.label(root), t.value(root), picked.len());
+        for p in picked.iter().skip(1) {
+            // Infallible: sibling pattern labels are unique
+            // (DuplicateSiblingLabel is rejected at build time), so each
+            // data node is picked at most once, and `t`'s own ids are
+            // unique by DataTree construction.
+            answer
+                .add_child(
+                    NodeRef(p.parent),
+                    t.nid(p.node),
+                    t.label(p.node),
+                    t.value(p.node),
+                )
+                .expect("source ids are unique");
+        }
+        if let Some(provenance) = provenance {
+            provenance.reserve(picked.len());
+            provenance.extend(picked.iter().map(|p| (t.nid(p.node), p.kind)));
+        }
         OBS_VALUATIONS.observe(memo.filled);
         OBS_ANSWER_NODES.observe(answer.len() as u64);
-        Answer {
-            tree: Some(answer),
-            provenance,
-        }
+        Some(answer)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Appends to `picked` the answer nodes below `n`, the node picked
+    /// `at`, where `n` matched the pattern node `m`.
     fn collect(
         &self,
         t: &DataTree,
         m: QNodeRef,
         n: NodeRef,
-        out: &mut DataTree,
-        out_n: NodeRef,
-        provenance: &mut HashMap<Nid, MatchKind>,
+        at: u32,
+        picked: &mut Vec<Picked>,
         memo: &mut SatMemo,
     ) {
         for &mc in self.children(m) {
             for &nc in t.children(n) {
                 if self.sat(t, mc, nc, memo) {
-                    // Infallible: sibling pattern labels are unique
-                    // (DuplicateSiblingLabel is rejected at build time), so
-                    // each data child is emitted at most once, and `t`'s own
-                    // ids are unique by DataTree construction.
-                    let added = out
-                        .add_child(out_n, t.nid(nc), t.label(nc), t.value(nc))
-                        .expect("source ids are unique");
-                    provenance.insert(t.nid(nc), MatchKind::Matched(mc));
+                    let here = picked.len() as u32;
+                    picked.push(Picked {
+                        node: nc,
+                        parent: at,
+                        kind: MatchKind::Matched(mc),
+                    });
                     if self.barred(mc) {
                         // Extract the entire subtree below the barred
                         // match.
-                        copy_descendants(t, nc, out, added, mc, provenance);
+                        pick_descendants(t, nc, here, mc, picked);
                     } else {
-                        self.collect(t, mc, nc, out, added, provenance, memo);
+                        self.collect(t, mc, nc, here, picked, memo);
                     }
                 }
             }
@@ -198,22 +231,24 @@ impl PsQuery {
     }
 }
 
-fn copy_descendants(
-    t: &DataTree,
-    n: NodeRef,
-    out: &mut DataTree,
-    out_n: NodeRef,
-    bar: QNodeRef,
-    provenance: &mut HashMap<Nid, MatchKind>,
-) {
+/// One answer node, found before the answer tree is built: its node
+/// in the source, the index of its parent in the picked list, and how
+/// it was selected.
+struct Picked {
+    node: NodeRef,
+    parent: u32,
+    kind: MatchKind,
+}
+
+fn pick_descendants(t: &DataTree, n: NodeRef, at: u32, bar: QNodeRef, picked: &mut Vec<Picked>) {
     for &c in t.children(n) {
-        // Infallible: each source node is visited exactly once and carries
-        // a DataTree-unique id.
-        let added = out
-            .add_child(out_n, t.nid(c), t.label(c), t.value(c))
-            .expect("source ids are unique");
-        provenance.insert(t.nid(c), MatchKind::BarDescendant(bar));
-        copy_descendants(t, c, out, added, bar, provenance);
+        let here = picked.len() as u32;
+        picked.push(Picked {
+            node: c,
+            parent: at,
+            kind: MatchKind::BarDescendant(bar),
+        });
+        pick_descendants(t, c, here, bar, picked);
     }
 }
 

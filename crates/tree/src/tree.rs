@@ -6,6 +6,7 @@ use crate::label::{Alphabet, Label};
 use iixml_values::Rat;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A persistent node identifier (an element of the paper's infinite node
 /// set `N`).
@@ -64,8 +65,82 @@ struct NodeData {
     label: Label,
     value: Rat,
     parent: Option<NodeRef>,
-    children: Vec<NodeRef>,
+    children: Kids,
 }
+
+/// Children a node holds in place before they move to the heap.
+const INLINE_KIDS: usize = 4;
+
+/// A node's children: up to [`INLINE_KIDS`] in the node itself, more on
+/// the heap. Most nodes of a catalog, of a query answer or of a known
+/// data tree have a handful of children, so they allocate nothing.
+#[derive(Clone, Debug)]
+enum Kids {
+    Inline(u32, [NodeRef; INLINE_KIDS]),
+    Heap(Vec<NodeRef>),
+}
+
+impl Kids {
+    const NONE: Kids = Kids::Inline(0, [NodeRef(0); INLINE_KIDS]);
+
+    fn as_slice(&self) -> &[NodeRef] {
+        match self {
+            Kids::Inline(len, kids) => &kids[..*len as usize],
+            Kids::Heap(kids) => kids,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [NodeRef] {
+        match self {
+            Kids::Inline(len, kids) => &mut kids[..*len as usize],
+            Kids::Heap(kids) => kids,
+        }
+    }
+
+    fn push(&mut self, kid: NodeRef) {
+        match self {
+            Kids::Inline(len, kids) if (*len as usize) < INLINE_KIDS => {
+                kids[*len as usize] = kid;
+                *len += 1;
+            }
+            Kids::Inline(_, kids) => {
+                let mut heap = Vec::with_capacity(2 * INLINE_KIDS);
+                heap.extend_from_slice(kids);
+                heap.push(kid);
+                *self = Kids::Heap(heap);
+            }
+            Kids::Heap(kids) => kids.push(kid),
+        }
+    }
+}
+
+/// The hasher of a tree's id index: one multiply and fold per id, as
+/// the index is only looked up, never iterated, and ids are plain
+/// integers (SipHash would cost more than the lookup it guards).
+#[derive(Default)]
+struct NidHasher(u64);
+
+impl Hasher for NidHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        // A multiply spreads the id over the high bits; folding them
+        // back in lets the table's low-bit bucket index see all of it.
+        let h = (self.0 ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+/// A node-id index keyed through [`NidHasher`].
+type NidIndex = HashMap<Nid, NodeRef, BuildHasherDefault<NidHasher>>;
 
 /// A data tree: an arena of nodes with a designated root.
 ///
@@ -90,7 +165,7 @@ struct NodeData {
 pub struct DataTree {
     nodes: Vec<NodeData>,
     root: NodeRef,
-    by_nid: HashMap<Nid, NodeRef>,
+    by_nid: NidIndex,
 }
 
 /// Errors from tree construction.
@@ -116,17 +191,25 @@ impl std::error::Error for TreeError {}
 impl DataTree {
     /// Creates a tree consisting of a single root node.
     pub fn new(nid: Nid, label: Label, value: Rat) -> DataTree {
+        DataTree::with_capacity(nid, label, value, 1)
+    }
+
+    /// Creates a tree consisting of a single root node, with room for
+    /// `capacity` nodes in all.
+    pub fn with_capacity(nid: Nid, label: Label, value: Rat, capacity: usize) -> DataTree {
         let root = NodeRef(0);
-        let mut by_nid = HashMap::new();
+        let mut by_nid = NidIndex::with_capacity_and_hasher(capacity, Default::default());
         by_nid.insert(nid, root);
+        let mut nodes = Vec::with_capacity(capacity.max(1));
+        nodes.push(NodeData {
+            nid,
+            label,
+            value,
+            parent: None,
+            children: Kids::NONE,
+        });
         DataTree {
-            nodes: vec![NodeData {
-                nid,
-                label,
-                value,
-                parent: None,
-                children: Vec::new(),
-            }],
+            nodes,
             root,
             by_nid,
         }
@@ -152,17 +235,11 @@ impl DataTree {
             label,
             value,
             parent: Some(parent),
-            children: Vec::new(),
+            children: Kids::NONE,
         });
         self.nodes[parent.ix()].children.push(r);
         self.by_nid.insert(nid, r);
         Ok(r)
-    }
-
-    /// Reserves room for `additional` more nodes.
-    pub fn reserve(&mut self, additional: usize) {
-        self.nodes.reserve_exact(additional);
-        self.by_nid.reserve(additional);
     }
 
     /// The root reference.
@@ -202,7 +279,7 @@ impl DataTree {
 
     /// The children of a node.
     pub fn children(&self, n: NodeRef) -> &[NodeRef] {
-        &self.nodes[n.ix()].children
+        self.nodes[n.ix()].children.as_slice()
     }
 
     /// The persistent ids of all nodes, in arena order.
@@ -231,8 +308,9 @@ impl DataTree {
     /// unordered, so this changes only how it is written out.
     pub fn sort_children_by_nid(&mut self) {
         for i in 0..self.nodes.len() {
-            let mut kids = std::mem::take(&mut self.nodes[i].children);
-            kids.sort_unstable_by_key(|c| self.nodes[c.ix()].nid);
+            let mut kids = std::mem::replace(&mut self.nodes[i].children, Kids::NONE);
+            kids.as_mut_slice()
+                .sort_unstable_by_key(|c| self.nodes[c.ix()].nid);
             self.nodes[i].children = kids;
         }
     }
@@ -363,10 +441,22 @@ impl DataTree {
         )
     }
 
-    /// Equality as unordered trees with node ids.
+    /// Equality as unordered trees with node ids. Ids are unique within
+    /// a tree, so two trees are equal exactly when they have the same
+    /// size and root id and every node has a namesake in the other with
+    /// the same label, value and parent id.
     pub fn same_tree(&self, other: &DataTree) -> bool {
+        let parent_nid = |t: &DataTree, n: &NodeData| n.parent.map(|p| t.nid(p));
         self.len() == other.len()
-            && self.canonical_key(self.root()) == other.canonical_key(other.root())
+            && self.nid(self.root) == other.nid(other.root)
+            && self.nodes.iter().all(|n| {
+                other.by_nid(n.nid).is_some_and(|o| {
+                    let o = &other.nodes[o.ix()];
+                    o.label == n.label
+                        && o.value == n.value
+                        && parent_nid(other, o) == parent_nid(self, n)
+                })
+            })
     }
 
     /// Equality as unordered trees up to node ids.

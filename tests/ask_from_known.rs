@@ -19,19 +19,30 @@
 //! branches to have run. Where the fast path answers, the answer is
 //! also checked against a represented world: a match in `D` is a match
 //! in every world, since ps-queries have no negation.
+//!
+//! Every probe also checks the kernels the fast path runs on:
+//! `match_sets` (bucketed by the labels the knowledge carries) must give
+//! the Poss/Cert sets of `iixml_oracle::match_sets_reference` on every
+//! (query node, symbol) pair; `eval_tree` must build the tree `eval`
+//! builds, without provenance; and every knowledge the test builds or
+//! derives (parse, product, trim, quotient, type restriction,
+//! `universal`, `q(T)`, the mediator's `relax`) must carry the labels
+//! its node map and targets give.
 
-use iixml_core::io::write_incomplete_xml;
+use iixml_core::io::{parse_incomplete_xml, write_incomplete_xml};
+use iixml_core::refine::{intersect, query_answer_tree};
 use iixml_core::type_intersect::restrict_to_type;
 use iixml_core::{
-    ConditionalTreeType, Determination, Disjunction, IncompleteTree, NodeInfo, Refiner, SAtom, Sym,
-    SymTarget, Verdict,
+    match_sets, ConditionalTreeType, Determination, Disjunction, IncompleteTree, NodeInfo, Refiner,
+    SAtom, Sym, SymTarget, Verdict,
 };
 use iixml_gen::rng::DetRng;
 use iixml_gen::testkit::check_with;
 use iixml_gen::{catalog, random_queries, Catalog};
-use iixml_query::{parse_ps_query, PsQuery};
+use iixml_oracle::match_sets_reference;
+use iixml_query::{parse_ps_query, Answer, PsQuery};
 use iixml_tree::xmlio::write_tree;
-use iixml_tree::{Alphabet, Label, Mult, Nid, NidGen};
+use iixml_tree::{Alphabet, DataTree, Label, Mult, Nid, NidGen};
 use iixml_values::{IntervalSet, Rat};
 use iixml_webhouse::{LocalAnswer, Session, Source};
 use std::path::PathBuf;
@@ -106,17 +117,102 @@ fn check_world(it: &IncompleteTree, q: &PsQuery, d: Determination, got: &Text, a
     assert_eq!(got, &Text::Complete(want), "a world answers otherwise");
 }
 
+/// `it` carries, for every symbol, the label its target names: the
+/// target label, or the node map's `λ(n)`.
+fn assert_labels(it: &IncompleteTree, what: &str) {
+    let ty = it.ty();
+    assert_eq!(
+        it.labels().len(),
+        ty.sym_count(),
+        "{what}: one label per symbol"
+    );
+    for s in ty.syms() {
+        let want = match ty.info(s).target {
+            SymTarget::Lab(l) => l,
+            SymTarget::Node(n) => it.node_info(n).expect("a known node").label,
+        };
+        assert_eq!(it.label(s), want, "{what}: label of {s:?}");
+    }
+}
+
+/// The knowledge `it` and every tree derived from it carry the right
+/// labels: its trim, its minimization (a quotient when it merges), its
+/// text parsed back, `q(T)` and the mediator's relaxation.
+fn check_derived_labels(it: &IncompleteTree, q: &PsQuery, alpha: &Alphabet) {
+    assert_labels(it, "knowledge");
+    assert_labels(&it.trim(), "trim");
+    assert_labels(&it.minimize(), "minimize");
+    let mut a = alpha.clone();
+    let parsed = parse_incomplete_xml(&write_incomplete_xml(it, alpha), &mut a).unwrap();
+    assert_labels(&parsed, "parse");
+    assert_labels(&it.query(q).tree, "q(T)");
+    assert_labels(&iixml_mediator::relax(it, it.size() / 2), "relax");
+}
+
+/// `match_sets` gives the reference Poss/Cert on every (query node,
+/// symbol) pair.
+fn check_match_sets(it: &IncompleteTree, q: &PsQuery) {
+    let (got, want) = (match_sets(it, q), match_sets_reference(it, q));
+    for &m in q.preorder() {
+        for s in it.ty().syms() {
+            assert_eq!(got.poss(m, s), want.poss(m, s), "Poss({m:?}) at {s:?}");
+            assert_eq!(got.cert(m, s), want.cert(m, s), "Cert({m:?}) at {s:?}");
+        }
+    }
+}
+
+/// `eval_tree` builds exactly the tree `eval` builds: the same nodes in
+/// the same order, written out the same.
+fn check_eval(q: &PsQuery, t: &DataTree, alpha: &Alphabet) {
+    let full: Answer = q.eval(t);
+    let bare = q.eval_tree(t);
+    let shape = |t: &Option<DataTree>| {
+        t.as_ref()
+            .map(|t| (write_tree(t, alpha), t.nids().collect::<Vec<_>>()))
+    };
+    assert_eq!(
+        shape(&full.tree),
+        shape(&bare),
+        "eval_tree differs from eval"
+    );
+}
+
+/// The kernels behind the Ask: match sets on the knowledge and its
+/// trim, and `eval` with and without provenance on the known data tree
+/// and on a represented world.
+fn check_kernels(it: &IncompleteTree, q: &PsQuery, alpha: &Alphabet) {
+    check_match_sets(it, q);
+    check_match_sets(&it.trim(), q);
+    if let Some(d) = it.data_tree() {
+        check_eval(q, &d, alpha);
+    }
+    if let Some(world) = it.witness(&mut NidGen::starting_at(1 << 50)) {
+        check_eval(q, &world, alpha);
+    }
+}
+
 /// Asks `q` of `refiner` and compares with the reference on its
 /// current knowledge.
 fn check_refiner(refiner: &mut Refiner, q: &PsQuery, alpha: &Alphabet, b: &mut Branches) {
     let d = refiner.current().determination(q);
     b.note(d);
+    check_kernels(refiner.current(), q, alpha);
+    check_derived_labels(refiner.current(), q, alpha);
     let want = reference(refiner.current(), q, alpha);
     for _ in 0..2 {
         let got = text(refiner.answer(q), alpha);
         assert_eq!(got, want, "verdict differs ({d:?})");
         check_world(refiner.current(), q, d, &got, alpha);
     }
+}
+
+/// Refines `refiner` by `(q, ans)`, first checking the labels of the
+/// product the step builds.
+fn refine_checked(refiner: &mut Refiner, alpha: &Alphabet, q: &PsQuery, ans: &Answer) {
+    let tqa = query_answer_tree(q, ans, alpha).unwrap();
+    assert_labels(&tqa, "T_{q,A}");
+    assert_labels(&intersect(refiner.current(), &tqa).unwrap(), "product");
+    refiner.refine(alpha, q, ans).unwrap();
 }
 
 fn random_cond(rng: &mut DetRng) -> IntervalSet {
@@ -245,8 +341,11 @@ fn typed_refine_chains_answer_like_the_answer_type() {
         let mut alpha = c.alpha.clone();
         let probes = probes(&c, &mut alpha, rng);
         let labels: Vec<Label> = alpha.labels().collect();
-        let mut refiner =
-            Refiner::from_tree(restrict_to_type(&IncompleteTree::universal(&labels), &c.ty));
+        let universal = IncompleteTree::universal(&labels);
+        assert_labels(&universal, "universal");
+        let typed = restrict_to_type(&universal, &c.ty);
+        assert_labels(&typed, "type restriction");
+        let mut refiner = Refiner::from_tree(typed);
         let mut chain: Vec<PsQuery> = (0..4)
             .map(|_| {
                 let lo = rng.range_i64(0, 12) * 40;
@@ -260,7 +359,7 @@ fn typed_refine_chains_answer_like_the_answer_type() {
             for p in &probes {
                 check_refiner(&mut refiner, p, &alpha, &mut b);
             }
-            refiner.refine(&alpha, q, &q.eval(&c.doc)).unwrap();
+            refine_checked(&mut refiner, &alpha, q, &q.eval(&c.doc));
         }
         for p in &probes {
             check_refiner(&mut refiner, p, &alpha, &mut b);
@@ -282,6 +381,8 @@ fn check_session(s: &mut Session, probes: &[PsQuery], b: &mut Branches) {
     for q in probes {
         let d = s.knowledge().determination(q);
         b.note(d);
+        check_kernels(s.knowledge(), q, s.alphabet());
+        assert_labels(s.knowledge(), "session knowledge");
         let want = reference(s.knowledge(), q, s.alphabet());
         for _ in 0..2 {
             let got = s.answer_locally(q);
